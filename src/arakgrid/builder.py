@@ -10,13 +10,12 @@ failed certificate raises instead of returning.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .arakelian import Exhaustion, build_exhaustion, hole_union_extent, holes
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, Primitive, distance_field, rasterize_closed
-from .topology import (FOUR, REACHES_ALPHA, WINDOW_AMBIGUOUS, RegionModel,
+from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, RegionModel,
                        compactified_complement_connected, label_components,
                        sphere_complement_connected)
 
@@ -179,34 +178,50 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel, *,
 
 
 def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Multi-source 4-connected BFS distances to the target cells, or -1."""
-    dist = np.full(domain.shape, -1, dtype=np.int32)
-    frontier = targets & domain
+    """Multi-source 4-connected BFS distances to the target cells, or -1.
+
+    The BFS runs over flat indices of a copy padded by one blocked cell on
+    every side, so the +-1 and +-(ncols + 2) steps never wrap a row.  Each
+    layer touches only the frontier and its neighbours: O(cells) in total.
+    """
+    nrows, ncols = domain.shape
+    width = ncols + 2
+    free = np.zeros((nrows + 2, width), dtype=bool)   # in domain, unvisited
+    free[1:-1, 1:-1] = domain
+    free = free.ravel()
+    dist = np.full(free.size, -1, dtype=np.int32)
+    seeds = np.zeros((nrows + 2, width), dtype=bool)
+    seeds[1:-1, 1:-1] = targets & domain
+    frontier = np.flatnonzero(seeds)
+    steps = np.array([1, -1, width, -width])
     d = 0
-    dist[frontier] = 0
-    while frontier.any():
-        grown = ndimage.binary_dilation(frontier, FOUR) & domain & (dist < 0)
+    while frontier.size:
+        free[frontier] = False
+        dist[frontier] = d
+        nbrs = (frontier[:, None] + steps).ravel()
+        frontier = np.unique(nbrs[free[nbrs]])
         d += 1
-        dist[grown] = d
-        frontier = grown
-    return dist
+    return dist.reshape(nrows + 2, width)[1:-1, 1:-1]
 
 
-def _walk_down(start: tuple[int, int], dist: np.ndarray,
-               domain: np.ndarray) -> list[tuple[int, int]] | None:
+def _walk_down(start: tuple[int, int],
+               dist: np.ndarray) -> list[tuple[int, int]] | None:
     """Deterministic shortest path from start to a zero-distance cell,
-    preferring neighbors east, north, west, south at every step."""
+    preferring neighbors east, north, west, south at every step.
+
+    A 4-neighbor at distance d - 1 >= 0 lies in the BFS domain and touches
+    the current cell, so the walk never leaves the start's component.
+    """
     i, j = start
     if dist[j, i] < 0:
         return None
     path = [(i, j)]
     d = int(dist[j, i])
-    nrows, ncols = domain.shape
+    nrows, ncols = dist.shape
     while d > 0:
         for di, dj in _STEPS:
             ni, nj = i + di, j + dj
-            if 0 <= ni < ncols and 0 <= nj < nrows and domain[nj, ni] \
-                    and dist[nj, ni] == d - 1:
+            if 0 <= ni < ncols and 0 <= nj < nrows and dist[nj, ni] == d - 1:
                 i, j = ni, nj
                 break
         else:
@@ -225,6 +240,11 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     components of deeper complements before the final run to an
     alpha-adjacent cell.  Paths avoid F throughout; neighbor preference is
     east, north, west, south.
+
+    Routing runs one 4-connected BFS per (stage, target kind) over the whole
+    stage domain, O(cells) each.  The BFS never crosses between the domain's
+    components, so every component sees the distances a BFS confined to it
+    would give.
     """
     grid = region.grid
     if cover is None or not cover.disks:
@@ -240,15 +260,16 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
             labelings[s] = label_components(dom, 4, region)
         return labelings[s]
 
-    alpha_targets = region.alpha_adjacent
     dist_cache: dict = {}
 
-    def distances(s, comp, target_bits, key):
-        ck = (s, comp, key)
-        if ck not in dist_cache:
-            domain = lab_at(s).labels == comp
-            dist_cache[ck] = _wave_distances(domain, target_bits & domain)
-        return dist_cache[ck]
+    def distances(s, target):
+        """Distances in stage s's domain to the alpha-reaching components of
+        stage ``target``, or to alpha-adjacent cells when it is None."""
+        if (s, target) not in dist_cache:
+            bits = region.alpha_adjacent if target is None else \
+                lab_at(target).reach_mask(REACHES_ALPHA)
+            dist_cache[s, target] = _wave_distances(lab_at(s).labels >= 0, bits)
+        return dist_cache[s, target]
 
     top = len(exhaustion.levels)
     curves = []
@@ -280,28 +301,19 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
         cur = (i, j)
         s_here = m
         for s in range(m + 1, top + 1):
-            lab_prev = lab_at(s_here)
-            comp_prev = int(lab_prev.labels[cur[1], cur[0]])
-            lab_next = lab_at(s)
-            next_alpha = lab_next.reach_mask(REACHES_ALPHA) if \
-                any(st == REACHES_ALPHA for st in (lab_next.alpha_reach or [])) \
-                else None
-            if next_alpha is None:
-                break
-            dist = distances(s_here, comp_prev, next_alpha, ("stage", s))
-            seg = _walk_down(cur, dist, lab_prev.labels == comp_prev)
+            dist = distances(s_here, s)
+            seg = _walk_down(cur, dist)
             if seg is None:
                 break
             end = seg[-1]
-            comp_here = int(lab_next.labels[end[1], end[0]])
+            comp_here = int(lab_at(s).labels[end[1], end[0]])
             stages.append(StageRecord(s, comp_here, seg))
             cur = end
             s_here = s
 
-        lab_fin = lab_at(s_here)
-        comp_fin = int(lab_fin.labels[cur[1], cur[0]])
-        dist = distances(s_here, comp_fin, alpha_targets, "alpha")
-        seg = _walk_down(cur, dist, lab_fin.labels == comp_fin)
+        comp_fin = int(lab_at(s_here).labels[cur[1], cur[0]])
+        dist = distances(s_here, None)
+        seg = _walk_down(cur, dist)
         if seg is None:
             raise BuildRefusalError(
                 "no path to an alpha-adjacent cell from a disk center")

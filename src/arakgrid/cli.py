@@ -16,6 +16,7 @@ which keeps repeated reports byte-identical.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -88,6 +89,8 @@ def _parse_with_k(arg: str, grid) -> CellSet:
         cx, cy, r = (float(v) for v in arg[5:].split(","))
     except ValueError as exc:
         raise InputError(f"bad --with-k parameters: {exc}") from exc
+    if not all(math.isfinite(v) for v in (cx, cy, r)):
+        raise InputError("--with-k parameters must be finite")
     return rasterize_closed([Primitive.disk((cx, cy), r)], grid)
 
 
@@ -253,6 +256,8 @@ def _csv_samples(path: str, F: CellSet) -> SampledFunction:
                     x, y, re_, im = (float(v) for v in row[:4])
                 except ValueError:
                     continue                    # header or stray line
+                if not all(math.isfinite(v) for v in (x, y, re_, im)):
+                    raise InputError(f"non-finite number in samples row {row}")
                 i, j = F.grid.point_cell(x, y)
                 vals[j, i] = complex(re_, im)
                 seen[j, i] = True

@@ -154,7 +154,12 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
         raise PreconditionError("carrier is empty")
     if not F.same_cells(f.carrier):
         raise PreconditionError("sample carrier does not match F")
-    if f.min_abs() < eps_zero:
+    if not (math.isfinite(eps_zero) and math.isfinite(tol)):
+        raise PreconditionError("eps_zero and tol must be finite")
+    if not np.isfinite(f.values[F.bits]).all():
+        raise PreconditionError("samples of f on the carrier must be finite")
+    # guards are written so that a NaN fails them
+    if not (f.min_abs() >= eps_zero):
         raise PreconditionError(
             f"|f| drops below eps_zero={eps_zero:g} on the carrier")
 
@@ -176,11 +181,11 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     if up.any():
         jump = max(jump, float(np.abs(im[:-1, :] - im[1:, :])[up].max()))
 
-    if jump >= math.pi:
+    if not (jump < math.pi):
         raise ResolutionError(
             "adjacent carrier cells differ by at least pi in imaginary part; "
             "retry with a smaller cell size")
-    if residual_max > tol:
+    if not (residual_max <= tol):
         raise LiftVerificationError(
             f"exp(g) misses f by {residual_max:g} > tol={tol:g}")
     return LogLiftResult(g, g_tilde, nbhd, residual_max, jump)

@@ -26,6 +26,8 @@ step-curve fixtures adapt their spacing to the cell size so every corridor
 stays resolvable (see the decisions in grid.py).
 """
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,7 +50,6 @@ class FnSpec:
         if self.kind == "identity":
             return lambda z: z
         if self.kind == "exp":
-            import cmath
             return lambda z: cmath.exp(z)
         if self.kind == "const":
             c = self.params[0]
@@ -144,9 +145,12 @@ def _floats(parts, n, lineno, what):
     if len(parts) != n:
         raise SceneParseError(lineno, f"{what} expects {n} numbers, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
         raise SceneParseError(lineno, f"bad number in {what}: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise SceneParseError(lineno, f"non-finite number in {what}")
+    return vals
 
 
 def _parse_primitive(parts, lineno) -> Primitive:
@@ -184,25 +188,33 @@ def _parse_primitive(parts, lineno) -> Primitive:
         if kind == "bracket":
             if len(args) != 1:
                 raise SceneParseError(lineno, "bracket expects one integer")
-            return Primitive.bracket(int(args[0]))
+            try:
+                return Primitive.bracket(int(args[0]))
+            except ValueError as exc:
+                raise SceneParseError(lineno, f"bad bracket index: {exc}") from exc
     except InputError as exc:
         raise SceneParseError(lineno, str(exc)) from exc
     raise SceneParseError(lineno, f"unknown primitive {kind!r}")
+
+
+def _complex(text: str, lineno, what) -> complex:
+    try:
+        c = complex(text)
+    except ValueError as exc:
+        raise SceneParseError(lineno, f"bad {what}: {exc}") from exc
+    if not cmath.isfinite(c):
+        raise SceneParseError(lineno, f"non-finite number in {what}")
+    return c
 
 
 def _parse_fn(token: str, lineno) -> FnSpec:
     if token == "identity" or token == "exp":
         return FnSpec(token)
     if token.startswith("const:"):
-        try:
-            return FnSpec("const", (complex(token[6:]),))
-        except ValueError as exc:
-            raise SceneParseError(lineno, f"bad constant: {exc}") from exc
+        return FnSpec("const", (_complex(token[6:], lineno, "constant"),))
     if token.startswith("poly:"):
-        try:
-            coeffs = tuple(complex(c) for c in token[5:].split(","))
-        except ValueError as exc:
-            raise SceneParseError(lineno, f"bad coefficients: {exc}") from exc
+        coeffs = tuple(_complex(c, lineno, "coefficients")
+                       for c in token[5:].split(","))
         if not coeffs:
             raise SceneParseError(lineno, "poly needs at least one coefficient")
         return FnSpec("poly", coeffs)

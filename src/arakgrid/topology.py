@@ -187,7 +187,6 @@ class ComponentLabeling:
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
     sizes: np.ndarray
-    bboxes: list[tuple[int, int, int, int]]   # (imin, jmin, imax, jmax)
     alpha_reach: list[str] | None = None
 
     def mask_of(self, label: int) -> np.ndarray:
@@ -196,11 +195,9 @@ class ComponentLabeling:
     def reach_mask(self, status: str) -> np.ndarray:
         if self.alpha_reach is None:
             raise InputError("labeling carries no alpha classification")
-        out = np.zeros_like(self.labels, dtype=bool)
-        for lbl, st in enumerate(self.alpha_reach):
-            if st == status:
-                out |= self.labels == lbl
-        return out
+        # one lookup per cell; the trailing False is what label -1 reads
+        hit = np.array([st == status for st in self.alpha_reach] + [False])
+        return hit[self.labels]
 
     def labels_with(self, status: str) -> list[int]:
         if self.alpha_reach is None:
@@ -217,7 +214,8 @@ def label_components(domain: CellSet, connectivity: int,
     raw, n = ndimage.label(domain.bits, structure=structure)
     if n == 0:
         labels = np.full(domain.bits.shape, -1, dtype=np.int32)
-        return ComponentLabeling(domain, labels, 0, np.zeros(0, dtype=np.int64), [])
+        return ComponentLabeling(domain, labels, 0, np.zeros(0, dtype=np.int64),
+                                 None if region is None else [])
 
     # enforce first-seen-row-major label order regardless of backend details
     flat = raw.ravel()
@@ -230,11 +228,6 @@ def label_components(domain: CellSet, connectivity: int,
     labels = mapping[raw].astype(np.int32) - 1
 
     sizes = np.bincount(labels[labels >= 0], minlength=n).astype(np.int64)
-    bboxes = []
-    for sl in ndimage.find_objects(labels + 1):
-        jmin, jmax = sl[0].start, sl[0].stop - 1
-        imin, imax = sl[1].start, sl[1].stop - 1
-        bboxes.append((int(imin), int(jmin), int(imax), int(jmax)))
 
     alpha_reach = None
     if region is not None:
@@ -247,7 +240,7 @@ def label_components(domain: CellSet, connectivity: int,
             (WINDOW_AMBIGUOUS if amb_hits[l] else ENCLOSED)
             for l in range(n)
         ]
-    return ComponentLabeling(domain, labels, n, sizes, bboxes, alpha_reach)
+    return ComponentLabeling(domain, labels, n, sizes, alpha_reach)
 
 
 @dataclass(eq=False)

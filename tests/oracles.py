@@ -6,6 +6,7 @@ package beyond the data types.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -148,6 +149,28 @@ def circle_raster_oracle(grid, cx: float, cy: float, r: float,
             if near2 <= (r + eps) ** 2 and far2 >= (r - eps) ** 2:
                 bits[j, i] = True
     return bits
+
+
+def bfs_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Queue-based multi-source 4-connected BFS distances to the target
+    cells inside the domain; -1 where no path exists."""
+    nrows, ncols = domain.shape
+    dist = np.full(domain.shape, -1, dtype=np.int32)
+    queue = deque()
+    for j in range(nrows):
+        for i in range(ncols):
+            if domain[j, i] and targets[j, i]:
+                dist[j, i] = 0
+                queue.append((i, j))
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni < ncols and 0 <= nj < nrows and \
+                    domain[nj, ni] and dist[nj, ni] < 0:
+                dist[nj, ni] = dist[j, i] + 1
+                queue.append((ni, nj))
+    return dist
 
 
 def bfs_path_ok(path, f_bits, alpha_adjacent) -> bool:

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakgrid import (BuildRefusalError, CellSet,
                       NotSimplyConnectedError, PreconditionError, Primitive,
@@ -9,9 +12,11 @@ from arakgrid import (BuildRefusalError, CellSet,
                       escape_curves, holes, make_grid, open_disk_region,
                       plane_region, rasterize_closed, refutation_blocks_build,
                       refute_witness)
+from arakgrid.builder import _wave_distances
 from arakgrid.scene import parse_scene
 
-from oracles import bfs_path_ok
+from oracles import bfs_distances, bfs_path_ok, flood_components, naive_reach
+from test_acceptance import _random_open_scene
 
 rng = np.random.default_rng(31337)
 
@@ -141,6 +146,155 @@ class TestEscapeCurves:
                 assert seg[0] == rebuilt[-1]
                 rebuilt.extend(seg[1:])
             assert rebuilt == full
+
+
+def _checkerboard(nrows, ncols):
+    jj, ii = np.indices((nrows, ncols))
+    return (ii + jj) % 2 == 0
+
+
+def _corner(nrows, ncols):
+    t = np.zeros((nrows, ncols), dtype=bool)
+    t[0, 0] = True
+    return t
+
+
+def _blocked_middle(nrows, ncols):
+    d = np.ones((nrows, ncols), dtype=bool)
+    d[nrows // 2, ncols // 2] = False
+    return d
+
+
+class TestWaveDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_matches_oracle_on_random_masks(self, nrows, ncols, data):
+        n = nrows * ncols
+        masks = st.lists(st.booleans(), min_size=n, max_size=n)
+        domain = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
+        targets = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
+        got = _wave_distances(domain, targets)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, bfs_distances(domain, targets))
+
+    @pytest.mark.parametrize("domain, targets", [
+        (np.ones((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)),
+        (_blocked_middle(5, 7), ~_blocked_middle(5, 7)),
+        (_checkerboard(5, 7), ~_checkerboard(5, 7)),
+        (_blocked_middle(1, 9), _corner(1, 9)),
+        (_blocked_middle(9, 1), _corner(9, 1)),
+        (np.ones((1, 1), dtype=bool), _corner(1, 1)),
+        (np.ones((6, 8), dtype=bool), _corner(6, 8)),
+        (_checkerboard(6, 8), _corner(6, 8)),
+        (_checkerboard(6, 8), np.ones((6, 8), dtype=bool)),
+    ], ids=["no-targets", "targets-outside", "checkerboard-outside",
+            "row", "column", "single-cell", "free", "checkerboard",
+            "checkerboard-all"])
+    def test_edge_cases_match_oracle(self, domain, targets):
+        got = _wave_distances(domain, targets)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, bfs_distances(domain, targets))
+
+    def test_free_grid_is_manhattan(self):
+        got = _wave_distances(np.ones((6, 8), dtype=bool), _corner(6, 8))
+        jj, ii = np.indices((6, 8))
+        assert np.array_equal(got, ii + jj)
+
+
+def _reference_walk(start, dist):
+    i, j = start
+    if dist[j, i] < 0:
+        return None
+    path = [start]
+    while dist[j, i] > 0:
+        for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= nj < dist.shape[0] and 0 <= ni < dist.shape[1] and \
+                    dist[nj, ni] == dist[j, i] - 1:
+                i, j = ni, nj
+                break
+        path.append((i, j))
+    return path
+
+
+def _reference_routes(cover, F, region, exh):
+    """Escape routes computed the slow way: stage domains labeled by flood
+    fill, one oracle BFS per (stage, component, target) confined to that
+    component, and an east-north-west-south walk down the distances."""
+    omega = region.omega.bits
+    stages = []
+    for k in [np.zeros_like(F.bits)] + [K.bits for K in exh.levels]:
+        labels = flood_components(omega & ~F.bits & ~k, 4)
+        status = naive_reach(labels, int(labels.max()) + 1, omega,
+                             region.alpha_border)
+        alpha = np.zeros_like(omega)
+        for lbl, st_ in enumerate(status):
+            if st_ == "REACHES_ALPHA":
+                alpha |= labels == lbl
+        stages.append((labels, status, alpha))
+    top = len(exh.levels)
+
+    def route(s, cell, targets):
+        labels = stages[s][0]
+        comp = labels[cell[1], cell[0]]
+        return _reference_walk(cell, bfs_distances(labels == comp, targets))
+
+    routes = []
+    for disk in cover.disks:
+        i, j = disk.center
+        m = next(s for s in range(min(disk.annulus - 1, top), -1, -1)
+                 if stages[s][0][j, i] >= 0 and
+                 stages[s][1][stages[s][0][j, i]] == "REACHES_ALPHA")
+        recs = []
+        cur, s_here = disk.center, m
+        for s in range(m + 1, top + 1):
+            seg = route(s_here, cur, stages[s][2])
+            if seg is None:
+                break
+            cur, s_here = seg[-1], s
+            recs.append((s, int(stages[s][0][cur[1], cur[0]]), seg))
+        comp_fin = int(stages[s_here][0][cur[1], cur[0]])
+        recs.append((s_here, comp_fin,
+                     route(s_here, cur, region.alpha_adjacent)))
+        path = [disk.center]
+        for _, _, seg in recs:
+            path.extend(seg[1:] if seg[0] == path[-1] else seg)
+        routes.append((disk.center, path, recs))
+    return routes
+
+
+def _segment_scene():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenes",
+                        "segment.scene")
+    with open(path) as fh:
+        sc = parse_scene(fh.read())
+    region = sc.region()
+    return sc.raster("F"), sc.obstacle_free_u(region), region
+
+
+def _open_scene(seed):
+    g, region = _plane(1 / 32)
+    F, obstacles = _random_open_scene(np.random.default_rng(seed), g, region)
+    return F, region.omega - obstacles, region
+
+
+class TestEscapeRoutesMatchReference:
+    @pytest.mark.parametrize("make", [
+        _segment_scene,
+        lambda: _open_scene(1),
+        lambda: _open_scene(2),
+        lambda: _open_scene(3),
+    ], ids=["segment", "open-1", "open-2", "open-3"])
+    def test_paths_unchanged(self, make):
+        F, U, region = make()
+        exh = build_exhaustion(region, 3)
+        cover = disk_cover(F, U, region, exhaustion=exh)
+        assert cover.disks
+        plan = escape_curves(cover, F, region, exh)
+        got = [(c.center, c.path,
+                [(st_.level, st_.component, st_.path) for st_ in c.stages])
+               for c in plan.curves]
+        assert got == _reference_routes(cover, F, region, exh)
 
 
 class TestBuildV:

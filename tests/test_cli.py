@@ -4,6 +4,7 @@ import json
 import os
 
 import jsonschema
+import pytest
 
 from arakgrid.cli import REPORT_SCHEMA, run_cli
 
@@ -149,6 +150,63 @@ class TestCsvSamples:
         csv_path.write_text("\n".join(rows) + "\n")
         code, _, err = run(["loglift", str(p), "--fn-csv", str(csv_path)])
         assert code == 2 and "inconclusive" in err
+
+
+def _loglift_line_with(tmp_path, fn_line):
+    text = open(scene("loglift_line.scene")).read()
+    p = tmp_path / "lift.scene"
+    p.write_text(text.replace("fn F identity", fn_line))
+    return str(p)
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers are input errors (exit 3), never a traceback or
+    a refutation."""
+
+    @pytest.mark.parametrize("line", [
+        "set F segment -1 0 inf 0",
+        "set F segment -1 0 nan 0",
+        "set F bracket inf",
+    ])
+    def test_scene_numbers(self, tmp_path, line):
+        p = tmp_path / "bad.scene"
+        p.write_text(f"grid -2 -2 2 2 0.03125\nomega plane\n{line}\n")
+        code, out, err = run(["check", str(p)])
+        assert code == 3 and "Traceback" not in out + err
+
+    @pytest.mark.parametrize("fn_line", ["fn F poly:nan", "fn F const:inf"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_fn_coefficients(self, tmp_path, fn_line, as_json):
+        args = ["loglift", _loglift_line_with(tmp_path, fn_line)]
+        code, out, err = run(args + (["--json"] if as_json else []))
+        assert code == 3 and "Traceback" not in out + err
+        assert "verified" not in out
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_overflowing_samples(self, tmp_path, as_json):
+        # finite coefficients whose samples overflow to inf on the carrier
+        args = ["loglift", _loglift_line_with(tmp_path, "fn F poly:0,1e308")]
+        code, out, err = run(args + (["--json"] if as_json else []))
+        assert code == 3 and "finite" in err and "verified" not in out
+
+    @pytest.mark.parametrize("args", [
+        ["holes", scene("segment.scene"), "--with-k", "disk:0,0,inf"],
+        ["refute", scene("segment.scene"), "--with-k", "disk:nan,0,1"],
+        ["check", scene("segment.scene"), "--windows", "2,inf"],
+        ["loglift", scene("loglift_line.scene"), "--tol", "nan"],
+        ["loglift", scene("loglift_line.scene"), "--eps-zero", "nan"],
+    ])
+    def test_flags(self, args):
+        code, out, err = run(args)
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_csv_row(self, tmp_path):
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text("x,y,re,im\n1.0,0.0,nan,0.0\n")
+        code, out, err = run(["loglift", scene("loglift_line.scene"),
+                              "--fn-csv", str(csv_path)])
+        assert code == 3 and "non-finite" in err
 
 
 class TestReports:

@@ -125,6 +125,16 @@ class TestLogLift:
         with pytest.raises(PreconditionError):
             log_lift(F, f, region)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf,
+                                       complex(1.0, math.nan)])
+    def test_non_finite_samples_rejected(self, value):
+        # a NaN sample must not slip past the |f| >= eps_zero guard
+        g, region = _line_scene(1 / 32)
+        F = rasterize_closed([Primitive.segment((1, 0), (2, 0))], g)
+        f = SampledFunction.from_callable(F, lambda z: value)
+        with pytest.raises(PreconditionError):
+            log_lift(F, f, region)
+
     def test_requires_simple_connectivity(self):
         g = make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32)
         region = open_disk_region(g, 0, 0, 1, punctured=True)

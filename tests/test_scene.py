@@ -41,6 +41,11 @@ class TestParse:
             ("grid 0 0 1 1 0.5\nfixture ex_2_10 0.6 0.6\n", 2),
             ("grid 0 0 1 1 0.5\nunbounded Q\n", 2),
             ("grid 0 0 1 1 0.5\nset F circle 0 0 -1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F segment 0 0 inf 0\n", 2),  # non-finite
+            ("grid 0 0 nan 1 0.5\n", 1),
+            ("grid 0 0 1 1 0.5\nset F bracket inf\n", 2),
+            ("grid 0 0 1 1 0.5\nfn F poly:1,nan\n", 2),
+            ("grid 0 0 1 1 0.5\nfn F const:inf\n", 2),
         ]
         for text, lineno in cases:
             with pytest.raises(SceneParseError) as err:
