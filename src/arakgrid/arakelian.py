@@ -17,15 +17,14 @@ quantifier, so verdicts are stamped:
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import ArakGridError, PreconditionError
 from .grid import CellSet, GridSpec
-from .topology import (EIGHT, ENCLOSED, RegionModel,
-                       compactified_complement_connected, holes,
+from .topology import (EIGHT, ENCLOSED, HoleSet, RegionModel, holes,
                        label_components)
 
 
@@ -83,7 +82,6 @@ class Exhaustion:
     center: tuple[float, float]
     capped: bool
     declared_bounds: list[float]
-    skipped: list[int]
 
     @property
     def top_level(self) -> int:
@@ -143,7 +141,7 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
     X, Y = grid.center_mesh()
     rad = np.hypot(X - center[0], Y - center[1])
 
-    levels, ids, bounds_src, skipped = [], [], [], []
+    levels, ids = [], []
     prev = None
     for k in range(1, nlevels + 1):
         bits = region.omega.bits & (dist >= r_values[k - 1])
@@ -155,7 +153,6 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
         bits = _fill_enclosed(bits, region)
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
-            skipped.append(k)
             continue
         levels.append(CellSet(grid, bits))
         ids.append(k)
@@ -169,24 +166,18 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
               for k in range(len(levels))]
     return Exhaustion(levels, ids, list(r_values),
                       list(R_values) if capped else None,
-                      tuple(center), capped, bounds, skipped)
+                      tuple(center), capped, bounds)
+
+
+def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:
+    """The extent record of a hole set already computed on the region."""
+    return ExtentRecord(level, hs.count, hs.union.count() * region.grid.delta ** 2,
+                        hs.max_abs, hs.min_bd_dist, len(hs.ambiguous_labels))
 
 
 def hole_union_extent(F: CellSet, K: CellSet, region: RegionModel) -> ExtentRecord:
     """Extent of the union of holes of F together with a compact K."""
-    if not F.issubset(region.omega) or not K.issubset(region.omega):
-        raise PreconditionError("F and K must lie inside the region")
-    hs = holes(F | K, region)
-    area = hs.union.count() * region.grid.delta ** 2
-    return ExtentRecord(-1, hs.count, area, hs.max_abs, hs.min_bd_dist,
-                        len(hs.ambiguous_labels))
-
-
-def _hole_union(F: CellSet, K: CellSet, region: RegionModel):
-    hs = holes(F | K, region)
-    rec = ExtentRecord(-1, hs.count, hs.union.count() * region.grid.delta ** 2,
-                       hs.max_abs, hs.min_bd_dist, len(hs.ambiguous_labels))
-    return rec, hs
+    return _extent(holes(F | K, region), region)
 
 
 @dataclass(eq=False)
@@ -199,6 +190,20 @@ class AlphaNeighborhood:
     carrier_hole_count: int
 
 
+def _carve(K: CellSet, region: RegionModel, fk_holes: HoleSet,
+           f_holes: HoleSet) -> AlphaNeighborhood:
+    """The alpha neighborhood from holes(F | K) and holes(F) on the region.
+
+    Removing the enclosed components of region - (F | K) leaves the other
+    components as they are, so (region + alpha) - (F | K | holes) is
+    connected exactly when no component of region - (F | K) is
+    window-ambiguous: no further labeling is needed.
+    """
+    w = region.omega - (K | fk_holes.union)
+    connected = f_holes.count == 0 and not fk_holes.ambiguous_labels
+    return AlphaNeighborhood(w, connected, f_holes.count)
+
+
 def alpha_neighborhood(F: CellSet, K: CellSet,
                        region: RegionModel) -> AlphaNeighborhood:
     """W = region minus (K and the hole union of F| K), with a flag.
@@ -206,13 +211,10 @@ def alpha_neighborhood(F: CellSet, K: CellSet,
     The flag certifies the full invariant the construction is used for: the
     carrier itself is hole-free AND W minus F, joined with alpha, is
     connected.  A carrier with its own hole therefore always flags False.
+    Two labelings: region - (F | K) and region - F; connectivity is read off
+    the first (see ``_carve``).
     """
-    rec, hs = _hole_union(F, K, region)
-    w = region.omega - (K | hs.union)
-    f_holes = holes(F, region)
-    report = compactified_complement_connected(F | K | hs.union, region)
-    flag = (f_holes.count == 0) and (report.connected is True)
-    return AlphaNeighborhood(w, flag, f_holes.count)
+    return _carve(K, region, holes(F | K, region), holes(F, region))
 
 
 @dataclass(eq=False)
@@ -278,11 +280,17 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                     scene_builder=None) -> ArakelianVerdict:
     """Run the staged check over an exhaustion and a window schedule.
 
-    ``window_schedule`` lists grids to re-rasterize the scene on (the first
-    entries may include the base grid); rebuilding on grids other than the
-    region's own requires ``scene_builder(grid) -> (F, region)``.  Exhaustion
-    levels are rebuilt on every window from the *base* thresholds, so each
-    level is a fixed compact set observed through growing windows.
+    ``exhaustion`` must be built on ``region``; it is used as given on the
+    base window.  ``window_schedule`` lists grids to re-rasterize the scene
+    on (the first entries may include the base grid); rebuilding on grids
+    other than the region's own requires ``scene_builder(grid) -> (F,
+    region)``.  On those grids the exhaustion is rebuilt from the *base*
+    thresholds, so each level is a fixed compact set observed through
+    growing windows.
+
+    Every window labels region - F once and region - (F | K) once per level.
+    The top-level alpha neighborhood reuses the base window's two hole sets;
+    only a schedule without the base grid labels them again.
 
     Precedence: a hole of the carrier alone refutes; ambiguity is
     inconclusive; strict growth of some level's hole union across >= 3
@@ -296,9 +304,11 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
     per_window: list[list[ExtentRecord]] = []
     window_tops: list[float] = []
     reasons: list[str] = []
+    base_holes = None          # (holes(F | K_top), holes(F)) on the base window
 
     for g in window_schedule:
-        if g.key() == base_grid.key():
+        on_base = g.key() == base_grid.key()
+        if on_base:
             F_g, region_g = F, region
         else:
             if scene_builder is None:
@@ -315,7 +325,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                 reason="window-ambiguous complement components; declare the "
                        "unbounded edges of the scene")
 
-        exh_g = build_exhaustion(
+        exh_g = exhaustion if on_base else build_exhaustion(
             region_g, len(exhaustion.r_values), r_values=exhaustion.r_values,
             R_values=exhaustion.R_values, center=exhaustion.center,
             capped=exhaustion.capped)
@@ -325,8 +335,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
 
         recs = []
         for k, K in enumerate(exh_g.levels):
-            rec, _ = _hole_union(F_g, K, region_g)
-            rec = replace(rec, level=exh_g.level_ids[k])
+            fk = holes(F_g | K, region_g)
+            rec = _extent(fk, region_g, exh_g.level_ids[k])
             if rec.n_ambiguous:
                 return ArakelianVerdict(
                     INCONCLUSIVE,
@@ -339,6 +349,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
             if rec.count and rec.min_bd_dist < region_g.grid.delta * 0.9:
                 reasons.append(
                     f"level {rec.level} hole union hugs the region boundary")
+        if on_base:
+            base_holes = (fk, hs)
         per_window.append(recs)
         window_tops.append(g.ymax)
 
@@ -367,7 +379,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
 
     if not reasons:
         top_K = exhaustion.levels[-1]
-        nbhd = alpha_neighborhood(F, top_K, region)
+        nbhd = alpha_neighborhood(F, top_K, region) if base_holes is None \
+            else _carve(top_K, region, *base_holes)
         if not nbhd.connected:
             return ArakelianVerdict(
                 INCONCLUSIVE, extents=per_window, window_tops=window_tops,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arakelian import Exhaustion, build_exhaustion, hole_union_extent, holes
+from .arakelian import Exhaustion, build_exhaustion, holes
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, Primitive, distance_field, rasterize_closed
@@ -361,11 +361,13 @@ class RefutationWitness:
 def refute_witness(F: CellSet, region: RegionModel,
                    K: CellSet) -> RefutationWitness:
     """One puncture per hole of (F and K): removing those points from the
-    region leaves an open U containing F for which no valid V exists."""
-    rec = hole_union_extent(F, K, region)
-    if rec.count == 0:
-        raise PreconditionError("no holes to witness; F|K has empty hole union")
+    region leaves an open U containing F for which no valid V exists.
+
+    One labeling of region - (F | K) gives both the holes and their
+    witness cells."""
     hs = holes(F | K, region)
+    if hs.count == 0:
+        raise PreconditionError("no holes to witness; F|K has empty hole union")
     cells = hs.witness_cells()
     u = region.omega - CellSet.from_cells(region.grid, cells)
     points = [region.grid.cell_center(i, j) for i, j in cells]
@@ -391,8 +393,9 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     The region is split along the distance bisector (ties to the first
     carrier), each half intersected with U, and the two neighborhoods are
     built independently; their union is certified as a whole, including the
-    sphere-complement connectivity of each part.  Only meaningful, and only
-    allowed, on simply connected scenes.
+    sphere-complement connectivity of each part, which each part's own
+    certificate already holds.  Only meaningful, and only allowed, on simply
+    connected scenes.
     """
     if F1.is_empty():
         return build_v(F2, U, region, exhaustion=exhaustion)
@@ -427,8 +430,8 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     v_in_u = v.issubset(U)
     rep = compactified_complement_connected(v, region)
     parts_disjoint = (r1.v & r2.v).is_empty()
-    part_sphere = (sphere_complement_connected(r1.v, region),
-                   sphere_complement_connected(r2.v, region))
+    part_sphere = (r1.certificate.sphere_connected,
+                   r2.certificate.sphere_connected)
     cert = Certificate(f_in_v, v_in_u, rep.connected is True,
                        sphere_complement_connected(v, region),
                        parts_disjoint, part_sphere)

@@ -25,7 +25,7 @@ from . import builder as bd
 from . import loglift as ll
 from .errors import (AmbiguousRegionError, ArakGridError, BuildRefusalError,
                      CertificateError, InputError, LiftVerificationError,
-                     NotSimplyConnectedError, PreconditionError, ResolutionError)
+                     NotSimplyConnectedError, ResolutionError)
 from .grid import CellSet, Primitive, rasterize_closed
 from .render import LAYER_NAMES, render_ppm, render_svg
 from .scene import Scene, parse_scene
@@ -82,7 +82,10 @@ def _emit(report: dict | None, args, human_lines: list[str]):
             print(line)
 
 
-def _parse_with_k(arg: str, grid) -> CellSet:
+def _parse_with_k(arg: str | None, grid) -> CellSet:
+    """The compact K of ``--with-k disk:cx,cy,r``; empty when not given."""
+    if not arg:
+        return CellSet.empty(grid)
     if not arg.startswith("disk:"):
         raise InputError("--with-k expects disk:cx,cy,r")
     try:
@@ -149,15 +152,13 @@ def _cmd_check(args) -> tuple[int, dict | None, list[str]]:
 
 
 def _cmd_holes(args) -> tuple[int, dict | None, list[str]]:
-    from .topology import holes as holes_op
     scene = _load_scene(args.scene)
     marks, mark = _timer()
     region = scene.region()
     F = scene.raster(args.set)
-    K = _parse_with_k(args.with_k, scene.grid) if args.with_k \
-        else CellSet.empty(scene.grid)
-    rec = ak.hole_union_extent(F, K, region)
-    hs = holes_op(F | K, region)
+    K = _parse_with_k(args.with_k, scene.grid)
+    hs = ak.holes(F | K, region)
+    rec = ak._extent(hs, region)
     mark("holes")
     pts = [list(region.grid.cell_center(i, j)) for i, j in hs.witness_cells()]
     report = _report("HOLES", pts, rec.to_dict() | {"level": None},
@@ -204,8 +205,7 @@ def _cmd_refute(args) -> tuple[int, dict | None, list[str]]:
     marks, mark = _timer()
     region = scene.region()
     F = scene.raster(args.set)
-    K = _parse_with_k(args.with_k, scene.grid) if args.with_k \
-        else CellSet.empty(scene.grid)
+    K = _parse_with_k(args.with_k, scene.grid)
     wit = bd.refute_witness(F, region, K)
     blocked = bd.refutation_blocks_build(F, wit.u, region)
     mark("refute")
@@ -322,11 +322,9 @@ def _cmd_render(args) -> tuple[int, dict | None, list[str]]:
         elif n == "V":
             layers.append(("V", result.v.bits))
         elif n == "holes":
-            from .topology import holes as holes_op
             F = scene.raster("F")
-            K = _parse_with_k(args.with_k, scene.grid) if args.with_k \
-                else CellSet.empty(scene.grid)
-            layers.append(("holes", holes_op(F | K, region).union.bits))
+            K = _parse_with_k(args.with_k, scene.grid)
+            layers.append(("holes", ak.holes(F | K, region).union.bits))
         elif n == "disks":
             layers.append(("disks", [(d.center, d.radius)
                                      for d in result.cover.disks]))
@@ -406,12 +404,7 @@ def run_cli(argv: list[str]) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         code, report, lines = args.fn(args)
-    except NotSimplyConnectedError as exc:
-        _emit(_report("REFUSED", None, {"reason": str(exc)}, None, None),
-              args, [])
-        print(f"refused: {exc}", file=sys.stderr)
-        return _EXITS["negative"]
-    except BuildRefusalError as exc:
+    except (NotSimplyConnectedError, BuildRefusalError) as exc:
         _emit(_report("REFUSED", None, {"reason": str(exc)}, None, None),
               args, [])
         print(f"refused: {exc}", file=sys.stderr)
@@ -422,10 +415,7 @@ def run_cli(argv: list[str]) -> int:
     except (AmbiguousRegionError, ResolutionError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return _EXITS["inconclusive"]
-    except (InputError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXITS["error"]
-    except ArakGridError as exc:
+    except ArakGridError as exc:          # InputError, PreconditionError, ...
         print(f"error: {exc}", file=sys.stderr)
         return _EXITS["error"]
     _emit(report, args, lines)

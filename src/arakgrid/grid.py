@@ -29,6 +29,10 @@ INCLUSION_SLACK = 1e-9
 # Guards ceil((max-min)/delta) against float noise on exact divisions.
 _CEIL_GUARD = 1e-9
 
+# Largest window make_grid accepts, in cells; every array the toolkit builds
+# is a few times this size at most.
+MAX_CELLS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -89,7 +93,11 @@ class GridSpec:
 
 def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
               delta: float) -> GridSpec:
-    """Build a grid window; column/row counts are ceilings of span/delta."""
+    """Build a grid window; column/row counts are ceilings of span/delta.
+
+    Windows of more than ``MAX_CELLS`` cells are input errors, raised before
+    anything is allocated.
+    """
     for name, v in (("xmin", xmin), ("ymin", ymin), ("xmax", xmax),
                     ("ymax", ymax), ("delta", delta)):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
@@ -98,8 +106,13 @@ def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
         raise InputError("window must satisfy xmin < xmax and ymin < ymax")
     if delta <= 0:
         raise InputError("delta must be positive")
-    ncols = int(math.ceil((xmax - xmin) / delta - _CEIL_GUARD))
-    nrows = int(math.ceil((ymax - ymin) / delta - _CEIL_GUARD))
+    spans = ((xmax - xmin) / delta, (ymax - ymin) / delta)
+    if not all(math.isfinite(s) for s in spans):
+        raise InputError("window span / delta overflows; delta is too small")
+    ncols, nrows = (int(math.ceil(s - _CEIL_GUARD)) for s in spans)
+    if ncols * nrows > MAX_CELLS:
+        raise InputError(f"window has {ncols} x {nrows} cells, more than the "
+                         f"budget of {MAX_CELLS}")
     return GridSpec(float(xmin), float(ymin), float(xmax), float(ymax),
                     float(delta), max(ncols, 1), max(nrows, 1))
 
@@ -142,9 +155,6 @@ class CellSet:
         self._check(other)
         return CellSet(self.grid, self.bits & ~other.bits)
 
-    def complement(self) -> "CellSet":
-        return CellSet(self.grid, ~self.bits)
-
     def issubset(self, other: "CellSet") -> bool:
         self._check(other)
         return not bool((self.bits & ~other.bits).any())
@@ -171,12 +181,6 @@ class CellSet:
         js, iis = np.nonzero(self.bits)
         k = np.lexsort((js, iis))[0]
         return (int(iis[k]), int(js[k]))
-
-
-def lex_min_cell(bits: np.ndarray) -> tuple[int, int]:
-    js, iis = np.nonzero(bits)
-    k = np.lexsort((js, iis))[0]
-    return (int(iis[k]), int(js[k]))
 
 
 @dataclass(frozen=True)
@@ -343,9 +347,8 @@ def _rect_into(grid, c1, c2, out):
 def clip_ray(origin, direction, grid):
     """Clip a ray to the window.
 
-    Returns ``(p1, p2, exit_point)`` where the ray genuinely leaves the
-    window, ``(p1, p2, None)`` if it ends inside (cannot happen for rays) or
-    ``None`` when the ray misses the window entirely.
+    Returns ``(p1, p2)``, the entry point and the point where the ray leaves
+    the window, or ``None`` when the ray misses the window entirely.
     """
     ox, oy = origin
     dx, dy = direction
@@ -359,7 +362,7 @@ def clip_ray(origin, direction, grid):
         return None
     p1 = (ox + te * dx, oy + te * dy)
     p2 = (ox + tl * dx, oy + tl * dy)
-    return p1, p2, p2
+    return p1, p2
 
 
 def _exit_edges(grid, p):
@@ -492,9 +495,9 @@ def ray_exit_notes(primitives, grid: GridSpec) -> list[ExitNote]:
             if p.kind != "ray":
                 continue
             clipped = clip_ray(p.pts[0], p.pts[1], grid)
-            if clipped is None or clipped[2] is None:
+            if clipped is None:
                 continue
-            exit_pt = clipped[2]
+            exit_pt = clipped[1]
             cell = grid.point_cell(*exit_pt)
             for edge in _exit_edges(grid, exit_pt):
                 notes.append(ExitNote(edge, cell, p.pts[1]))

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arakelian import Exhaustion
-from .builder import NeighborhoodResult, build_v
+from .builder import _STEPS, NeighborhoodResult, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
-from .grid import CellSet, lex_min_cell
+from .grid import CellSet
 from .topology import RegionModel
-
-_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))     # east, north, west, south
 
 
 @dataclass(eq=False)
@@ -39,10 +37,6 @@ class SampledFunction:
 
     def at(self, i: int, j: int) -> complex:
         return complex(self.values[j, i])
-
-    def restrict(self, carrier: CellSet) -> "SampledFunction":
-        vals = np.where(carrier.bits, self.values, 0)
-        return SampledFunction(carrier, vals.astype(np.complex128))
 
     def min_abs(self) -> float:
         if self.carrier.is_empty():
@@ -107,7 +101,7 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
         if root_cell is not None and remaining[root_cell[1], root_cell[0]]:
             ri, rj = root_cell
         else:
-            ri, rj = lex_min_cell(remaining)
+            ri, rj = CellSet(grid, remaining).min_cell()
         w0 = ext.at(ri, rj)
         vals[rj, ri] = complex(math.log(abs(w0)), cmath.phase(w0))
         visited[rj, ri] = True

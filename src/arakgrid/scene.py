@@ -31,11 +31,13 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError, SceneParseError
 from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, make_grid,
-                   rasterize_closed, ray_exit_notes)
-from .topology import (RegionModel, custom_region, open_disk_region,
-                       open_rect_region, plane_region)
+                   rasterize_closed, rasterize_open_disk, rasterize_open_rect,
+                   ray_exit_notes)
+from .topology import RegionModel, custom_region
 
 _EDGE_NAMES = ("N", "S", "E", "W", "all")
 _CANON_EDGES = ("N", "S", "E", "W")
@@ -89,50 +91,38 @@ class Scene:
     unbounded: tuple
     sets: dict[str, list[Primitive]] = field(default_factory=dict)
     fns: dict[str, FnSpec] = field(default_factory=dict)
-    fixture_tags: tuple = ()
 
     def region(self, grid: GridSpec | None = None) -> RegionModel:
         g = grid or self.grid
-        kind = self.omega_decl[0]
+        kind, *params = self.omega_decl
         notes = []
         for prims in self.sets.values():
             notes.extend(ray_exit_notes(prims, g))
-        extra = None
-        if notes:
-            import numpy as np
-            extra = np.zeros((g.nrows, g.ncols), dtype=bool)
-            for note in notes:
-                i, j = note.cell
-                extra[j, i] = True
+        extra = np.zeros((g.nrows, g.ncols), dtype=bool)
+        for note in notes:
+            i, j = note.cell
+            extra[j, i] = True
+        edges, simple = self.unbounded, True
         if kind == "plane":
-            base = plane_region(g)
-            return custom_region(g, base.omega, unbounded_edges=("all",),
-                                 extra_unbounded=extra, simply_connected=True,
-                                 exit_notes=notes)
-        if kind in ("disk", "punctured_disk"):
-            cx, cy, r = self.omega_decl[1:]
-            base = open_disk_region(g, cx, cy, r,
-                                    punctured=(kind == "punctured_disk"))
-            return custom_region(g, base.omega, unbounded_edges=self.unbounded,
-                                 extra_unbounded=extra,
-                                 simply_connected=base.simply_connected,
-                                 exit_notes=notes)
-        if kind == "rect":
-            x1, y1, x2, y2 = self.omega_decl[1:]
-            base = open_rect_region(g, x1, y1, x2, y2)
-            return custom_region(g, base.omega, unbounded_edges=self.unbounded,
-                                 extra_unbounded=extra, simply_connected=True,
-                                 exit_notes=notes)
-        raise InputError(f"unknown region declaration {kind!r}")
+            omega, edges = CellSet.full(g), ("all",)
+        elif kind in ("disk", "punctured_disk"):
+            omega = rasterize_open_disk(g, *params)
+            if kind == "punctured_disk":
+                omega = omega - rasterize_closed([Primitive.point(params[:2])], g)
+                simple = False
+        elif kind == "rect":
+            omega = rasterize_open_rect(g, *params)
+        else:
+            raise InputError(f"unknown region declaration {kind!r}")
+        return custom_region(g, omega, unbounded_edges=edges,
+                             extra_unbounded=extra, simply_connected=simple,
+                             exit_notes=notes)
 
     def raster(self, name: str, grid: GridSpec | None = None) -> CellSet:
         g = grid or self.grid
         if name not in self.sets:
             raise InputError(f"scene has no set named {name!r}")
         return rasterize_closed(self.sets[name], g)
-
-    def set_names(self) -> list[str]:
-        return sorted(self.sets)
 
     def obstacle_free_u(self, region: RegionModel) -> CellSet:
         """U = region minus the raster of the ``obstacles`` set, if any."""
@@ -284,13 +274,11 @@ def parse_scene(text: str) -> Scene:
     if grid is None:
         raise SceneParseError(0, "scene has no grid declaration")
 
-    tags = []
     for fx in fixtures:
-        tags.append(fx[0])
         omega = _expand_fixture(fx, grid, sets, omega)
     if omega is None:
         raise SceneParseError(0, "scene has no omega declaration")
-    return Scene(grid, omega, tuple(unbounded), sets, fns, tuple(tags))
+    return Scene(grid, omega, tuple(unbounded), sets, fns)
 
 
 def _parse_fixture(args, lineno) -> tuple:

@@ -21,16 +21,12 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InputError, NotSimplyConnectedError, PreconditionError
-from .grid import (CellSet, GridSpec, distance_field, rasterize_open_disk,
-                   rasterize_open_rect)
+from .grid import (CellSet, GridSpec, Primitive, distance_field,
+                   rasterize_closed, rasterize_open_disk, rasterize_open_rect)
 
 REACHES_ALPHA = "REACHES_ALPHA"
 ENCLOSED = "ENCLOSED"
 WINDOW_AMBIGUOUS = "WINDOW_AMBIGUOUS"
-
-BDRY_OMEGA = "BDRY_OMEGA"
-WINDOW_EDGE = "WINDOW_EDGE"
-DECLARED_UNBOUNDED = "DECLARED_UNBOUNDED"
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 EIGHT = np.ones((3, 3), dtype=bool)
@@ -93,21 +89,6 @@ class RegionModel:
         self.alpha_adjacent = self.omega.bits & (inner_complement | self.alpha_border)
         self.ambiguous_contact = self.omega.bits & border & ~self.alpha_border
 
-    def frontier_kind(self, i: int, j: int) -> str | None:
-        if not self.omega.bits[j, i]:
-            return None
-        if self.window_border[j, i] and self.alpha_border[j, i]:
-            return DECLARED_UNBOUNDED
-        inner = ndimage.binary_dilation(~self.omega.bits, FOUR)
-        if inner[j, i]:
-            return BDRY_OMEGA
-        if self.window_border[j, i]:
-            return WINDOW_EDGE
-        return None
-
-    def complement_cells(self) -> CellSet:
-        return CellSet(self.grid, ~self.omega.bits)
-
     def frame_distance(self) -> np.ndarray:
         """Per-cell distance to the nearest *undeclared* window edge.
 
@@ -132,7 +113,7 @@ class RegionModel:
         """Per-cell distance to the region's complement, as the window sees
         it: visible complement cells (center to center) and undeclared window
         edges both count.  ``inf`` when neither exists."""
-        vals = distance_field(self.complement_cells()).values
+        vals = distance_field(CellSet(self.grid, ~self.omega.bits)).values
         return np.minimum(vals, self.frame_distance())
 
 
@@ -147,10 +128,7 @@ def open_disk_region(grid: GridSpec, cx: float, cy: float, r: float,
                      punctured: bool = False) -> RegionModel:
     omega = rasterize_open_disk(grid, cx, cy, r)
     if punctured:
-        hole = np.zeros_like(omega.bits)
-        from .grid import _rect_into
-        _rect_into(grid, (cx, cy), (cx, cy), hole)
-        omega = CellSet(grid, omega.bits & ~hole)
+        omega = omega - rasterize_closed([Primitive.point((cx, cy))], grid)
     return RegionModel(grid, omega, np.zeros_like(omega.bits),
                        simply_connected=not punctured)
 
@@ -183,14 +161,10 @@ class ComponentLabeling:
     is present when a region was supplied at labeling time.
     """
 
-    domain: CellSet
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
     sizes: np.ndarray
     alpha_reach: list[str] | None = None
-
-    def mask_of(self, label: int) -> np.ndarray:
-        return self.labels == label
 
     def reach_mask(self, status: str) -> np.ndarray:
         if self.alpha_reach is None:
@@ -214,7 +188,7 @@ def label_components(domain: CellSet, connectivity: int,
     raw, n = ndimage.label(domain.bits, structure=structure)
     if n == 0:
         labels = np.full(domain.bits.shape, -1, dtype=np.int32)
-        return ComponentLabeling(domain, labels, 0, np.zeros(0, dtype=np.int64),
+        return ComponentLabeling(labels, 0, np.zeros(0, dtype=np.int64),
                                  None if region is None else [])
 
     # enforce first-seen-row-major label order regardless of backend details
@@ -240,7 +214,7 @@ def label_components(domain: CellSet, connectivity: int,
             (WINDOW_AMBIGUOUS if amb_hits[l] else ENCLOSED)
             for l in range(n)
         ]
-    return ComponentLabeling(domain, labels, n, sizes, alpha_reach)
+    return ComponentLabeling(labels, n, sizes, alpha_reach)
 
 
 @dataclass(eq=False)
@@ -257,12 +231,9 @@ class HoleSet:
 
     def witness_cells(self) -> list[tuple[int, int]]:
         """One deterministic representative per hole (lex-smallest (i, j))."""
-        out = []
-        for lbl in self.hole_labels:
-            bits = self.labeling.labels == lbl
-            from .grid import lex_min_cell
-            out.append(lex_min_cell(bits))
-        return out
+        grid = self.union.grid
+        return [CellSet(grid, self.labeling.labels == lbl).min_cell()
+                for lbl in self.hole_labels]
 
 
 def holes(F: CellSet, region: RegionModel) -> HoleSet:
@@ -299,7 +270,6 @@ class ComplementReport:
     n_components: int           # alpha-side counts as one component
     n_enclosed: int
     n_ambiguous: int
-    n_alpha: int
 
 
 def compactified_complement_connected(G: CellSet,
@@ -314,14 +284,13 @@ def compactified_complement_connected(G: CellSet,
     lab = label_components(region.omega - G, 4, region)
     n_enc = len(lab.labels_with(ENCLOSED))
     n_amb = len(lab.labels_with(WINDOW_AMBIGUOUS))
-    n_alpha = len(lab.labels_with(REACHES_ALPHA))
     if n_enc > 0:
         connected = False
     elif n_amb > 0:
         connected = None
     else:
         connected = True
-    return ComplementReport(connected, 1 + n_enc, n_enc, n_amb, n_alpha)
+    return ComplementReport(connected, 1 + n_enc, n_enc, n_amb)
 
 
 def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:

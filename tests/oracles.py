@@ -79,6 +79,25 @@ def naive_holes(omega: np.ndarray, f_bits: np.ndarray,
     return out
 
 
+def naive_alpha_neighborhood(omega: np.ndarray, f_bits: np.ndarray,
+                             k_bits: np.ndarray, alpha_border: np.ndarray):
+    """The alpha neighborhood by three labelings: the holes of F | K, the
+    holes of F, and the compactified complement of F | K | holes.
+
+    Returns ``(w, connected, carrier_hole_count)``.
+    """
+    def statuses(blocked):
+        labels = flood_components(omega & ~blocked, 4)
+        return naive_reach(labels, int(labels.max()) + 1, omega, alpha_border)
+
+    fk_holes = naive_holes(omega, f_bits | k_bits, alpha_border)
+    w = omega & ~(k_bits | fk_holes)
+    f_count = statuses(f_bits).count("ENCLOSED")
+    rest = statuses(f_bits | k_bits | fk_holes)
+    connected = f_count == 0 and all(st == "REACHES_ALPHA" for st in rest)
+    return w, connected, f_count
+
+
 def brute_distances(source: np.ndarray, delta: float) -> np.ndarray:
     """Pairwise-minimum center distances to the source cells."""
     nrows, ncols = source.shape

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakgrid import (CellSet, PreconditionError, Primitive,
                       alpha_neighborhood, build_exhaustion, check_arakelian,
@@ -12,6 +14,8 @@ from arakgrid.arakelian import (EVIDENCE_DIVERGENT, INCONCLUSIVE, REFUTED,
                                 VERIFIED_UP_TO)
 from arakgrid.scene import parse_scene
 from arakgrid.topology import custom_region
+
+from oracles import naive_alpha_neighborhood
 
 rng = np.random.default_rng(424242)
 
@@ -248,3 +252,24 @@ class TestAlphaNeighborhood:
             assert v.status == VERIFIED_UP_TO
             for K in exh.levels:
                 assert alpha_neighborhood(F, K, region).connected is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["plane", "disk", "clipped_disk"]), st.data())
+    def test_matches_three_labeling_oracle(self, kind, data):
+        # the clipped disk runs off the window with no declared edge, so
+        # window-ambiguous components occur
+        g = make_grid(0, 0, 10, 10, 1)
+        region = {"plane": lambda: plane_region(g),
+                  "disk": lambda: open_disk_region(g, 5, 5, 4.5),
+                  "clipped_disk": lambda: open_disk_region(g, 5, 5, 6.5)}[kind]()
+        masks = st.lists(st.booleans(), min_size=100, max_size=100)
+        f_bits = np.array(data.draw(masks), dtype=bool).reshape(10, 10)
+        k_bits = np.array(data.draw(masks), dtype=bool).reshape(10, 10)
+        F = CellSet(g, f_bits & region.omega.bits)
+        K = CellSet(g, k_bits & region.omega.bits)
+        nbhd = alpha_neighborhood(F, K, region)
+        w, connected, count = naive_alpha_neighborhood(
+            region.omega.bits, F.bits, K.bits, region.alpha_border)
+        assert np.array_equal(nbhd.w.bits, w)
+        assert nbhd.connected is connected
+        assert nbhd.carrier_hole_count == count

@@ -174,6 +174,14 @@ class TestNonFiniteInput:
         code, out, err = run(["check", str(p)])
         assert code == 3 and "Traceback" not in out + err
 
+    def test_underflowing_delta(self, tmp_path):
+        # span / delta overflows to inf; this once escaped as OverflowError
+        p = tmp_path / "tiny.scene"
+        p.write_text("grid -2 -2 2 2 1e-320\nomega plane\n"
+                     "set F segment -1 0 1 0\n")
+        code, out, err = run(["check", str(p)])
+        assert code == 3 and "Traceback" not in out + err
+
     @pytest.mark.parametrize("fn_line", ["fn F poly:nan", "fn F const:inf"])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_fn_coefficients(self, tmp_path, fn_line, as_json):

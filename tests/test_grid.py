@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from arakgrid import (CellSet, InputError, Primitive, distance_field,
                       make_grid, rasterize_closed)
-from arakgrid.grid import ray_exit_notes, rasterize_open_rect
+from arakgrid.grid import MAX_CELLS, ray_exit_notes, rasterize_open_rect
+from arakgrid.scene import parse_scene
 
 from oracles import brute_distances, circle_raster_oracle
 
@@ -36,6 +37,21 @@ class TestMakeGrid:
     def test_rejects(self, bad):
         with pytest.raises(InputError):
             make_grid(*bad)
+
+    @pytest.mark.parametrize("delta", [1e-320, 1e-7])
+    def test_cell_budget(self, delta):
+        # 1e-320 overflows span / delta; 1e-7 asks for 1.6e15 cells.  Both
+        # are rejected from arithmetic alone, before any allocation.
+        with pytest.raises(InputError):
+            make_grid(-2, -2, 2, 2, delta)
+        with pytest.raises(InputError):
+            parse_scene(f"grid -2 -2 2 2 {delta!r}\nomega plane\n")
+
+    def test_budget_boundary(self):
+        g = make_grid(0, 0, 4096, MAX_CELLS // 4096, 1)
+        assert g.ncols * g.nrows == MAX_CELLS
+        with pytest.raises(InputError):
+            make_grid(0, 0, 4097, MAX_CELLS // 4096, 1)
 
     def test_cell_geometry(self):
         g = make_grid(0, 0, 1, 1, 0.25)
