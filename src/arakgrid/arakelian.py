@@ -24,8 +24,7 @@ from scipy import ndimage
 
 from .errors import ArakGridError, PreconditionError
 from .grid import CellSet, GridSpec
-from .topology import (EIGHT, ENCLOSED, HoleSet, RegionModel, holes,
-                       label_components)
+from .topology import EIGHT, HoleSet, RegionModel, holes
 
 
 @dataclass(frozen=True)
@@ -48,20 +47,6 @@ class ExtentRecord:
             "min_bd_dist": None if math.isinf(self.min_bd_dist) else self.min_bd_dist,
             "n_ambiguous": self.n_ambiguous,
         }
-
-
-def _fill_enclosed(bits: np.ndarray, region: RegionModel) -> np.ndarray:
-    """Merge conclusively trapped complement components into the mask.
-
-    Only ENCLOSED components are filled; window-ambiguous ones are left
-    alone so the result never claims knowledge the window lacks.
-    """
-    domain = CellSet(region.grid, region.omega.bits & ~bits)
-    lab = label_components(domain, 4, region)
-    enc = lab.labels_with(ENCLOSED)
-    if not enc:
-        return bits
-    return bits | lab.reach_mask(ENCLOSED)
 
 
 @dataclass(eq=False)
@@ -133,7 +118,11 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
     if center is None:
         center = grid.window_center
     if r_values is None:
-        r_values = [grid.delta * (2.0 ** (nlevels - k)) for k in range(1, nlevels + 1)]
+        try:
+            r_values = [math.ldexp(grid.delta, nlevels - k) for k in range(1, nlevels + 1)]
+        except OverflowError:
+            raise PreconditionError(f"nlevels={nlevels}: delta * 2**(nlevels - 1) "
+                                    "overflows a float") from None
     if capped and R_values is None:
         R_values = [k / nlevels * grid.half_diagonal for k in range(1, nlevels + 1)]
 
@@ -150,7 +139,8 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
         if prev is not None:
             grown = ndimage.binary_dilation(prev, EIGHT) & region.omega.bits
             bits = bits | grown
-        bits = _fill_enclosed(bits, region)
+        # fill the level's holes; window-ambiguous components stay out
+        bits = bits | holes(CellSet(grid, bits), region).union.bits
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue

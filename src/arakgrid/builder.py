@@ -177,31 +177,37 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel, *,
     return cover
 
 
-def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Multi-source 4-connected BFS distances to the target cells, or -1.
+def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
+    """Multi-source 4-connected BFS over the domain, one layer at a time.
 
-    The BFS runs over flat indices of a copy padded by one blocked cell on
-    every side, so the +-1 and +-(ncols + 2) steps never wrap a row.  Each
-    layer touches only the frontier and its neighbours: O(cells) in total.
+    Yields ``(cells, parents)`` as flat indices in FIFO queue order: the
+    seeds first (parents -1), then per layer each cell with the first queued
+    cell of the previous layer that reaches it along ``_STEPS``.  A padded
+    copy keeps steps from wrapping rows; O(cells) in total.
     """
-    nrows, ncols = domain.shape
-    width = ncols + 2
-    free = np.zeros((nrows + 2, width), dtype=bool)   # in domain, unvisited
-    free[1:-1, 1:-1] = domain
-    free = free.ravel()
-    dist = np.full(free.size, -1, dtype=np.int32)
-    seeds = np.zeros((nrows + 2, width), dtype=bool)
-    seeds[1:-1, 1:-1] = targets & domain
-    frontier = np.flatnonzero(seeds)
-    steps = np.array([1, -1, width, -width])
-    d = 0
+    width = domain.shape[1] + 2
+    free = np.pad(domain, 1).ravel()                  # in domain, unvisited
+    frontier = np.flatnonzero(np.pad(seeds & domain, 1))
+    parents = np.full(frontier.size, -1)
+    steps = np.array([di + dj * width for di, dj in _STEPS])
     while frontier.size:
         free[frontier] = False
-        dist[frontier] = d
+        cells = frontier - 2 * (frontier // width) - (width - 1)   # unpadded
+        yield cells, parents
         nbrs = (frontier[:, None] + steps).ravel()
-        frontier = np.unique(nbrs[free[nbrs]])
-        d += 1
-    return dist.reshape(nrows + 2, width)[1:-1, 1:-1]
+        hit = np.flatnonzero(free[nbrs])
+        # first occurrence of each new cell, back in queue order
+        first = hit[np.sort(np.unique(nbrs[hit], return_index=True)[1])]
+        parents = cells[first // steps.size]
+        frontier = nbrs[first]
+
+
+def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """4-connected BFS distances to the target cells, or -1."""
+    dist = np.full(domain.size, -1, dtype=np.int32)
+    for d, (cells, _) in enumerate(_bfs_layers(domain, targets)):
+        dist[cells] = d
+    return dist.reshape(domain.shape)
 
 
 def _walk_down(start: tuple[int, int],

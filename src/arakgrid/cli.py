@@ -59,7 +59,7 @@ def _load_scene(path: str) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_scene(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read scene {path!r}: {exc}") from exc
 
 
@@ -261,7 +261,7 @@ def _csv_samples(path: str, F: CellSet) -> SampledFunction:
                 i, j = F.grid.point_cell(x, y)
                 vals[j, i] = complex(re_, im)
                 seen[j, i] = True
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read samples {path!r}: {exc}") from exc
     missing = int((F.bits & ~seen).sum())
     if missing:
@@ -334,8 +334,11 @@ def _cmd_render(args) -> tuple[int, dict | None, list[str]]:
         data = render_svg(scene.grid, region.omega.bits, layers)
     else:
         data = render_ppm(scene.grid, region.omega.bits, layers)
-    with open(args.output, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.output, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output!r}: {exc}") from exc
     return _EXITS["ok"], None, [f"wrote {args.output} ({len(data)} bytes)"]
 
 

@@ -34,6 +34,12 @@ _CEIL_GUARD = 1e-9
 MAX_CELLS = 2 ** 24
 
 
+def _floor_clipped(t: float, lo: int, hi: int) -> int:
+    """floor(t) clipped to [lo, hi] in float, so an offset that overflowed to
+    inf clips instead of failing the int conversion; NaN reads lo."""
+    return int(math.floor(min(float(hi), max(float(lo), t))))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A window of the plane tiled by ``ncols`` x ``nrows`` square cells."""
@@ -57,9 +63,8 @@ class GridSpec:
 
     def point_cell(self, x: float, y: float) -> tuple[int, int]:
         """Cell index containing the point, clipped to the window."""
-        i = int(math.floor((x - self.xmin) / self.delta))
-        j = int(math.floor((y - self.ymin) / self.delta))
-        return (min(max(i, 0), self.ncols - 1), min(max(j, 0), self.nrows - 1))
+        return (_floor_clipped((x - self.xmin) / self.delta, 0, self.ncols - 1),
+                _floor_clipped((y - self.ymin) / self.delta, 0, self.nrows - 1))
 
     def center_axes(self) -> tuple[np.ndarray, np.ndarray]:
         xs = self.xmin + (np.arange(self.ncols) + 0.5) * self.delta
@@ -95,13 +100,13 @@ def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
               delta: float) -> GridSpec:
     """Build a grid window; column/row counts are ceilings of span/delta.
 
-    Windows of more than ``MAX_CELLS`` cells are input errors, raised before
-    anything is allocated.
+    Windows of more than ``MAX_CELLS`` cells and numbers whose areas would
+    overflow (16 v**2) are input errors, raised before anything is allocated.
     """
     for name, v in (("xmin", xmin), ("ymin", ymin), ("xmax", xmax),
                     ("ymax", ymax), ("delta", delta)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise InputError(f"{name} must be a finite number, got {v!r}")
+        if not isinstance(v, (int, float)) or not math.isfinite(16.0 * v * v):
+            raise InputError(f"|{name}| must be finite and below 3.3e153, got {v!r}")
     if not xmin < xmax or not ymin < ymax:
         raise InputError("window must satisfy xmin < xmax and ymin < ymax")
     if delta <= 0:
@@ -260,11 +265,12 @@ class ExitNote:
 
 
 def _cell_ranges(grid, bx0, by0, bx1, by1):
+    """Cells [i0, i1) x [j0, j1) meeting the box, clipped to the window."""
     d = grid.delta
-    i0 = max(0, int(math.floor((bx0 - grid.xmin) / d)))
-    i1 = min(grid.ncols, int(math.floor((bx1 - grid.xmin) / d)) + 1)
-    j0 = max(0, int(math.floor((by0 - grid.ymin) / d)))
-    j1 = min(grid.nrows, int(math.floor((by1 - grid.ymin) / d)) + 1)
+    i0 = _floor_clipped((bx0 - grid.xmin) / d, 0, grid.ncols)
+    i1 = _floor_clipped((bx1 - grid.xmin) / d, -1, grid.ncols - 1) + 1
+    j0 = _floor_clipped((by0 - grid.ymin) / d, 0, grid.nrows)
+    j1 = _floor_clipped((by1 - grid.ymin) / d, -1, grid.nrows - 1) + 1
     return i0, i1, j0, j1
 
 

@@ -6,17 +6,16 @@ V's cell graph whose exponential reproduces the samples exactly on F.
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arakelian import Exhaustion
-from .builder import _STEPS, NeighborhoodResult, build_v
+from .builder import NeighborhoodResult, _bfs_layers, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
 from .grid import CellSet
-from .topology import RegionModel
+from .topology import RegionModel, label_components
 
 
 @dataclass(eq=False)
@@ -90,43 +89,38 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     given root for its component), carrying the principal branch; every tree
     edge adds the principal argument increment, which must stay below pi in
     magnitude or the grid is declared too coarse.
-    """
-    grid = v.grid
-    vals = np.zeros(v.bits.shape, dtype=np.complex128)
-    visited = np.zeros(v.bits.shape, dtype=bool)
-    nrows, ncols = v.bits.shape
 
-    remaining = v.bits.copy()
-    while remaining.any():
-        if root_cell is not None and remaining[root_cell[1], root_cell[0]]:
-            ri, rj = root_cell
-        else:
-            ri, rj = CellSet(grid, remaining).min_cell()
-        w0 = ext.at(ri, rj)
-        vals[rj, ri] = complex(math.log(abs(w0)), cmath.phase(w0))
-        visited[rj, ri] = True
-        queue = deque([(ri, rj)])
-        while queue:
-            i, j = queue.popleft()
-            wi = ext.at(i, j)
-            gi = vals[j, i]
-            for di, dj in _STEPS:
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < ncols and 0 <= nj < nrows):
-                    continue
-                if not v.bits[nj, ni] or visited[nj, ni]:
-                    continue
-                wn = ext.at(ni, nj)
-                dtheta = cmath.phase(wn / wi)
-                if abs(dtheta) >= math.pi * (1 - 1e-12):
-                    raise ResolutionError(
-                        "phase jump of at least pi along a tree edge; "
-                        "retry with a smaller cell size")
-                vals[nj, ni] = complex(math.log(abs(wn)), gi.imag + dtheta)
-                visited[nj, ni] = True
-                queue.append((ni, nj))
-        remaining &= ~visited
-    return SampledFunction(v, vals)
+    The tree is one ``_bfs_layers`` BFS from all roots.  The per-cell math
+    stays scalar and the imaginary parts add up layer by layer, so every
+    value is bit for bit the one of a cell-by-cell BFS.
+    """
+    lab = label_components(v, 4)
+    # first cell of each label in (i, j) order, i.e. column-first
+    _, first = np.unique(lab.labels.T.ravel(), return_index=True)
+    seeds = np.zeros(v.bits.shape, dtype=bool)
+    seeds.T.flat[first] = True
+    seeds &= v.bits
+    if root_cell is not None and v.bits[root_cell[1], root_cell[0]]:
+        ri, rj = root_cell
+        seeds &= lab.labels != lab.labels[rj, ri]
+        seeds[rj, ri] = True
+
+    w = ext.values.ravel()
+    vals = np.zeros(w.size, dtype=np.complex128)
+    for cells, parents in _bfs_layers(v.bits, seeds):
+        w_cells = w[cells].tolist()
+        vals.real[cells] = [math.log(abs(z)) for z in w_cells]
+        if parents[0] < 0:                  # the roots
+            vals.imag[cells] = [cmath.phase(z) for z in w_cells]
+            continue
+        dtheta = np.array([cmath.phase(a / b) for a, b in
+                           zip(w_cells, w[parents].tolist())])
+        if (np.abs(dtheta) >= math.pi * (1 - 1e-12)).any():
+            raise ResolutionError(
+                "phase jump of at least pi along a tree edge; "
+                "retry with a smaller cell size")
+        vals.imag[cells] = vals.imag[parents] + dtheta
+    return SampledFunction(v, vals.reshape(v.bits.shape))
 
 
 def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
@@ -134,7 +128,7 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
              root_cell=None, exhaustion: Exhaustion | None = None) -> LogLiftResult:
     """Lift a continuous logarithm of f on F through the neighborhood V.
 
-    Requires a simply connected scene and |f| >= eps_zero on F.  The carrier
+    Requires a simply connected scene and |f| >= eps_zero > 0 on F.  The carrier
     is extended by nearest values, the sub-eps_zero cells of the extension
     are removed from the region to form U, V comes from the neighborhood
     builder, and the logarithm is unwrapped over V.  The returned g satisfies
@@ -148,8 +142,10 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
         raise PreconditionError("carrier is empty")
     if not F.same_cells(f.carrier):
         raise PreconditionError("sample carrier does not match F")
-    if not (math.isfinite(eps_zero) and math.isfinite(tol)):
-        raise PreconditionError("eps_zero and tol must be finite")
+    # eps_zero > 0 keeps every cell of V away from log(0)
+    if not (math.isfinite(eps_zero) and eps_zero > 0 and math.isfinite(tol)):
+        raise PreconditionError(
+            "eps_zero must be finite and positive, tol finite")
     if not np.isfinite(f.values[F.bits]).all():
         raise PreconditionError("samples of f on the carrier must be finite")
     # guards are written so that a NaN fails them

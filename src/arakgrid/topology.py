@@ -78,6 +78,7 @@ class RegionModel:
     alpha_adjacent: np.ndarray = field(init=False)
     ambiguous_contact: np.ndarray = field(init=False)
     window_border: np.ndarray = field(init=False)
+    _boundary_distance: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.omega.is_empty():
@@ -112,9 +113,13 @@ class RegionModel:
     def boundary_distance(self) -> np.ndarray:
         """Per-cell distance to the region's complement, as the window sees
         it: visible complement cells (center to center) and undeclared window
-        edges both count.  ``inf`` when neither exists."""
-        vals = distance_field(CellSet(self.grid, ~self.omega.bits)).values
-        return np.minimum(vals, self.frame_distance())
+        edges both count.  ``inf`` when neither exists.  Computed on first
+        use only; the array is read-only."""
+        if self._boundary_distance is None:
+            vals = distance_field(CellSet(self.grid, ~self.omega.bits)).values
+            self._boundary_distance = np.minimum(vals, self.frame_distance())
+            self._boundary_distance.flags.writeable = False
+        return self._boundary_distance
 
 
 def plane_region(grid: GridSpec) -> RegionModel:
@@ -278,19 +283,13 @@ def compactified_complement_connected(G: CellSet,
 
     The graph is the 4-connected complement of G inside the region plus the
     virtual node alpha, adjacent to every alpha-adjacent complement cell.
+    Its components away from alpha are the ENCLOSED and WINDOW_AMBIGUOUS
+    ones of ``holes(G, region)``.
     """
-    if not G.issubset(region.omega):
-        raise PreconditionError("G must lie inside the region")
-    lab = label_components(region.omega - G, 4, region)
-    n_enc = len(lab.labels_with(ENCLOSED))
-    n_amb = len(lab.labels_with(WINDOW_AMBIGUOUS))
-    if n_enc > 0:
-        connected = False
-    elif n_amb > 0:
-        connected = None
-    else:
-        connected = True
-    return ComplementReport(connected, 1 + n_enc, n_enc, n_amb)
+    hs = holes(G, region)
+    n_amb = len(hs.ambiguous_labels)
+    connected = False if hs.count else (None if n_amb else True)
+    return ComplementReport(connected, 1 + hs.count, hs.count, n_amb)
 
 
 def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:

@@ -5,10 +5,13 @@ fills, pairwise minima, linear scans.  None of it shares code with the
 package beyond the data types.
 """
 
+import cmath
 import math
 from collections import deque
 
 import numpy as np
+
+from arakgrid.errors import ResolutionError
 
 
 def flood_components(bits: np.ndarray, connectivity: int) -> np.ndarray:
@@ -205,3 +208,51 @@ def bfs_path_ok(path, f_bits, alpha_adjacent) -> bool:
             return False
     li, lj = path[-1]
     return bool(alpha_adjacent[lj, li])
+
+
+def bfs_unwrap(v_bits: np.ndarray, ext_values: np.ndarray,
+               root_cell=None) -> np.ndarray:
+    """Cell-by-cell deque BFS phase unwrap of log(ext) over V's 4-connected
+    graph; the twin of ``loglift._unwrap_on``.
+
+    Component by component, the root (the given one for its component, else
+    the lexicographically smallest remaining (i, j)) takes the principal
+    branch and every tree edge adds the principal argument increment, pushing
+    neighbours east, north, west, south.  Raises ``ResolutionError`` on an
+    increment of at least pi.
+    """
+    vals = np.zeros(v_bits.shape, dtype=np.complex128)
+    visited = np.zeros(v_bits.shape, dtype=bool)
+    nrows, ncols = v_bits.shape
+
+    remaining = v_bits.copy()
+    while remaining.any():
+        if root_cell is not None and remaining[root_cell[1], root_cell[0]]:
+            ri, rj = root_cell
+        else:
+            ri, rj = min((i, j) for j, i in zip(*np.nonzero(remaining)))
+        w0 = complex(ext_values[rj, ri])
+        vals[rj, ri] = complex(math.log(abs(w0)), cmath.phase(w0))
+        visited[rj, ri] = True
+        queue = deque([(ri, rj)])
+        while queue:
+            i, j = queue.popleft()
+            wi = complex(ext_values[j, i])
+            gi = vals[j, i]
+            for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                ni, nj = i + di, j + dj
+                if not (0 <= ni < ncols and 0 <= nj < nrows):
+                    continue
+                if not v_bits[nj, ni] or visited[nj, ni]:
+                    continue
+                wn = complex(ext_values[nj, ni])
+                dtheta = cmath.phase(wn / wi)
+                if abs(dtheta) >= math.pi * (1 - 1e-12):
+                    raise ResolutionError(
+                        "phase jump of at least pi along a tree edge; "
+                        "retry with a smaller cell size")
+                vals[nj, ni] = complex(math.log(abs(wn)), gi.imag + dtheta)
+                visited[nj, ni] = True
+                queue.append((ni, nj))
+        remaining &= ~visited
+    return vals

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import math
 import os
+import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakgrid.cli import REPORT_SCHEMA, run_cli
 
@@ -215,6 +220,204 @@ class TestNonFiniteInput:
         code, out, err = run(["loglift", scene("loglift_line.scene"),
                               "--fn-csv", str(csv_path)])
         assert code == 3 and "non-finite" in err
+
+
+_HUGE = "grid -2 -2 2 2 0.0625\nomega {omega}\nset F {prim}\n"
+
+
+class TestHugeAndUnreadableInput:
+    """Huge coordinates and cells, undecodable files, unwritable outputs,
+    overflowing level counts and a zero eps_zero once escaped as
+    OverflowError, UnicodeDecodeError, FileNotFoundError or ValueError
+    (exit 1, with a traceback)."""
+
+    @pytest.mark.parametrize("omega, prim", [
+        ("plane", "disk 0 0 1e308"),
+        ("plane", "segment -1e308 0 1e308 0"),
+        ("disk 0 0 1e308", "segment -1 0 1 0"),
+    ])
+    def test_huge_geometry_rasterizes(self, tmp_path, omega, prim):
+        p = tmp_path / "huge.scene"
+        p.write_text(_HUGE.format(omega=omega, prim=prim))
+        code, out, err = run(["check", str(p)])
+        assert code in (0, 2) and "Traceback" not in out + err
+
+    def test_huge_disk_covers_the_window(self):
+        from arakgrid.scene import parse_scene
+        sc = parse_scene(_HUGE.format(omega="disk 0 0 1e308",
+                                      prim="disk 0 0 1e308"))
+        assert sc.raster("F").bits.all()
+        assert sc.region().omega.bits.all()
+
+    def test_huge_csv_row_clips_to_the_window(self, tmp_path):
+        from arakgrid import make_grid
+        g = make_grid(-2, -2, 2, 2, 0.5)
+        assert g.point_cell(1e308, -1e308) == (7, 0)
+        assert g.point_cell(math.inf, math.nan) == (7, 0)
+        csv_path = tmp_path / "far.csv"
+        csv_path.write_text("1e308,0,1,0\n")
+        code, out, err = run(["loglift", scene("loglift_line.scene"),
+                              "--fn-csv", str(csv_path)])
+        assert code == 3 and "miss" in err and "Traceback" not in out + err
+
+    def test_overflowing_cell_area(self, tmp_path):
+        # one cell of side 1e308: its area, delta**2, raised OverflowError
+        p = tmp_path / "wide.scene"
+        p.write_text("grid 0 -1 1e308 0 1e308\nomega plane\n"
+                     "set F segment 0 -1 1 0\n")
+        code, out, err = run(["holes", str(p)])
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_non_utf8_scene(self, tmp_path):
+        p = tmp_path / "latin1.scene"
+        p.write_bytes(b"grid -2 -2 2 2 0.0625\nomega plane\n# caf\xe9\n")
+        code, out, err = run(["check", str(p)])
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_non_utf8_csv(self, tmp_path):
+        csv_path = tmp_path / "latin1.csv"
+        csv_path.write_bytes(b"x,y,re,im\n\xff,0,1,0\n")
+        code, out, err = run(["loglift", scene("loglift_line.scene"),
+                              "--fn-csv", str(csv_path)])
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_unwritable_render_output(self, tmp_path):
+        out_path = tmp_path / "no_such_dir" / "x.svg"
+        code, out, err = run(["render", scene("segment.scene"),
+                              "-o", str(out_path)])
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_zero_eps_zero(self, tmp_path):
+        # eps_zero = 0 let a zero function through to log(0): ValueError
+        args = ["loglift", _loglift_line_with(tmp_path, "fn F const:0"),
+                "--eps-zero", "0"]
+        code, out, err = run(args)
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_overflowing_levels(self):
+        code, out, err = run(["check", scene("segment.scene"),
+                              "--levels", "2000"])
+        assert code == 3 and "Traceback" not in out + err
+
+    def test_level_limit_follows_the_threshold_arithmetic(self):
+        from arakgrid import (PreconditionError, build_exhaustion, make_grid,
+                              plane_region)
+        region = plane_region(make_grid(-2, -2, 2, 2, 0.5))
+        # the largest threshold, delta * 2**(nlevels - 1) = 2**(nlevels - 2),
+        # first overflows at nlevels = max_exp + 2
+        with pytest.raises(PreconditionError, match="overflows"):
+            build_exhaustion(region, sys.float_info.max_exp + 2)
+
+
+# -- fuzzing: scene text and flags ----------------------------------------------
+# Windows stay small (delta >= 1/16 on spans of at most 6) so every run is
+# quick.  Huge, non-finite, malformed and undecodable inputs are drawn one
+# time in ten at each level, so many scenes still parse and reach the
+# commands with some huge coordinates in them.
+
+def _mostly(common, rare):
+    """``common`` nine times in ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 9 else common)
+
+
+_NUM = _mostly(
+    st.floats(-3, 3, allow_nan=False).map(lambda v: repr(round(v, 3))),
+    st.sampled_from(["1e308", "-1e308", "1e300", "-1e300", "1e-320", "inf",
+                     "nan", "x", ""]))
+_POS = _mostly(st.sampled_from(["0.25", "0.5", "1", "1.5", "3"]), _NUM)
+
+
+def _nums(n):
+    return st.lists(_NUM, min_size=n, max_size=n).map(" ".join)
+
+
+_GRID = st.builds(
+    "{} {} {} {}".format,
+    _mostly(st.sampled_from(["-2", "-1", "0"]), _NUM),
+    _mostly(st.sampled_from(["-2", "-1", "0"]), _NUM),
+    _mostly(st.sampled_from(["1 1", "1 2", "2 1", "2 2"]), _nums(2)),
+    # a delta below 1/16 is only ever too small for the cell budget
+    _mostly(st.sampled_from(["0.0625", "0.125", "0.25", "0.5"]),
+            st.sampled_from(["1e308", "1e-7", "1e-320", "0", "-1", "inf",
+                             "nan", "x"])))
+_OMEGA = _mostly(
+    st.sampled_from(["plane", "disk 0 0 1.5", "punctured_disk 0 0 1.5",
+                     "rect -1.5 -1.5 1.5 1.5"]),
+    st.one_of(st.builds("{} {} {} {}".format,
+                        st.sampled_from(["disk", "punctured_disk"]),
+                        _NUM, _NUM, _POS),
+              _nums(4).map(lambda s: "rect " + s)))
+_PRIMITIVE = st.one_of(
+    _nums(4).map(lambda s: "segment " + s),
+    st.builds("{} {} {} {}".format, st.sampled_from(["circle", "disk"]),
+              _NUM, _NUM, _POS),
+    _nums(4).map(lambda s: "rect " + s),
+    _nums(4).map(lambda s: "ray " + s),
+    _nums(2).map(lambda s: "point " + s),
+    _nums(6).map(lambda s: "polyline " + s),
+    st.just("staircase"),
+    st.sampled_from(["-1", "1", "3", "1000000000", "x"]).map(
+        lambda k: "bracket " + k))
+_LINE = _mostly(
+    st.one_of(
+        st.builds("set {} {}".format,
+                  st.sampled_from(["F", "F1", "F2", "obstacles"]), _PRIMITIVE),
+        st.sampled_from(["unbounded N", "unbounded all",
+                         "fixture intro_staircase", "fixture ex_2_10 0.3 0.6",
+                         "fixture ex_2_11 2", "fixture ex_2_11 999999"])),
+    st.sampled_from(["unbounded Q", "fixture ex_2_10 0.6 0.3",
+                     "grid 0 0 1 1 0.5", "omega plane", "bogus line"]))
+_FN = st.one_of(
+    st.sampled_from(["", "fn F identity", "fn F exp", "fn F const:0",
+                     "fn F poly:1,1e308,1e308"]),
+    st.builds("fn F poly:{},{}".format, _NUM, _NUM))
+_SCENE = st.builds(
+    "grid {}\nomega {}\nset F {}\n{}\n{}\n".format, _GRID, _OMEGA,
+    _PRIMITIVE, st.lists(_LINE, max_size=4).map("\n".join), _FN)
+_SCENE_BYTES = _mostly(_SCENE.map(str.encode),
+                       _SCENE.map(lambda text: text.encode() + b"# \xff\xfe\n"))
+
+_WITH_K = _mostly(st.builds("disk:{},{},{}".format, _NUM, _NUM, _POS),
+                  st.sampled_from(["disk:", "ring:0,0,1", "disk:0,0"]))
+_COMMANDS = st.one_of(
+    st.tuples(st.just("check"), st.fixed_dictionaries({}, optional={
+        "--levels": _mostly(st.integers(1, 5).map(str),
+                            st.sampled_from(["0", "2000", "10**6", "x"])),
+        "--windows": _mostly(
+            st.lists(st.sampled_from(["-1", "0.5", "1", "2", "3"]),
+                     min_size=1, max_size=3).map(",".join),
+            st.lists(_NUM, min_size=1, max_size=3).map(",".join)),
+        "--set": st.sampled_from(["F", "F1", "nope"])})),
+    st.tuples(st.sampled_from(["holes", "refute"]),
+              st.fixed_dictionaries({}, optional={"--with-k": _WITH_K})),
+    st.tuples(st.sampled_from(["build-v", "union"]), st.just({})),
+    st.tuples(st.just("loglift"), st.fixed_dictionaries({}, optional={
+        "--eps-zero": _NUM, "--tol": _NUM})),
+    st.tuples(st.just("render"), st.fixed_dictionaries({}, optional={
+        "--with-k": _WITH_K,
+        "--layers": st.sampled_from(["F", "F,U,V,disks,curves", "holes"])})))
+
+
+class TestCliFuzz:
+    @pytest.mark.filterwarnings("ignore")
+    @settings(max_examples=200, deadline=None)
+    @given(_SCENE_BYTES, _COMMANDS, st.booleans())
+    def test_exit_code_always_in_contract(self, text, command, as_json):
+        name, flags = command
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.scene")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            argv = [name, path]
+            for flag, value in flags.items():
+                argv += [f"{flag}={value}"]
+            if name == "render":
+                argv += ["-o", os.path.join(tmp, "out.svg")]
+            if as_json:
+                argv.append("--json")
+            code, out, err = run(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in out + err
 
 
 class TestReports:

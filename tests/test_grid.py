@@ -33,6 +33,9 @@ class TestMakeGrid:
         (0, 0, 1, 1, -1),
         (float("nan"), 0, 1, 1, 0.5),
         (0, 0, float("inf"), 1, 0.5),
+        (0, 0, 1e308, 1, 1e308),        # one cell whose area overflows
+        (-1e300, 0, 1e300, 1, 1e300),   # center sums and areas overflow
+        (0, 0, 1, 1, 4e153),
     ])
     def test_rejects(self, bad):
         with pytest.raises(InputError):

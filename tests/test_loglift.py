@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
-                      Primitive, SampledFunction, log_lift, make_grid,
-                      open_disk_region, plane_region, rasterize_closed,
-                      tietze_extend)
+                      Primitive, ResolutionError, SampledFunction, log_lift,
+                      make_grid, open_disk_region, plane_region,
+                      rasterize_closed, tietze_extend)
+from arakgrid.loglift import _unwrap_on
 
-from oracles import nearest_carrier_values
+from oracles import bfs_unwrap, nearest_carrier_values
 
 
 def _line_scene(delta=1 / 64):
@@ -142,3 +145,62 @@ class TestLogLift:
         f = SampledFunction.from_callable(F, lambda z: 1.0)
         with pytest.raises(NotSimplyConnectedError):
             log_lift(F, f, region)
+
+
+def _unwrap_outcome(fn):
+    try:
+        return fn().tobytes()
+    except ResolutionError:
+        return ResolutionError
+
+
+_SHAPES = st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                    st.tuples(st.just(1), st.integers(1, 30)),
+                    st.tuples(st.integers(1, 30), st.just(1)))
+# quarter turns make increments of exactly pi, which must raise
+_PHASES = st.one_of(st.floats(-math.pi, math.pi),
+                    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
+
+
+class TestUnwrapOracle:
+    """The layered unwrap matches the cell-by-cell deque BFS bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SHAPES, st.data())
+    def test_matches_oracle_on_random_masks(self, shape, data):
+        nrows, ncols = shape
+        n = nrows * ncols
+        bits = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)), dtype=bool)
+        bits = bits.reshape(nrows, ncols)
+        mods = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+        phases = data.draw(st.lists(_PHASES, min_size=n, max_size=n))
+        ext_vals = np.array([cmath.rect(r, t) for r, t in zip(mods, phases)],
+                            dtype=np.complex128).reshape(nrows, ncols)
+        where = data.draw(st.sampled_from(["none", "inside", "outside"]))
+        pool = bits if where == "inside" else ~bits
+        root_cell = None
+        if where != "none" and pool.any():
+            js, iis = np.nonzero(pool)
+            k = data.draw(st.integers(0, len(js) - 1))
+            root_cell = (int(iis[k]), int(js[k]))
+
+        g = make_grid(0, 0, ncols, nrows, 1)
+        v = CellSet(g, bits)
+        ext = SampledFunction(CellSet.full(g), ext_vals)
+        got = _unwrap_outcome(lambda: _unwrap_on(v, ext, root_cell).values)
+        want = _unwrap_outcome(lambda: bfs_unwrap(bits, ext_vals, root_cell))
+        assert got == want
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 64])
+    def test_matches_oracle_on_lifted_neighborhood(self, delta):
+        g, region = _line_scene(delta)
+        F = rasterize_closed([Primitive.segment((1, 0), (2, 0))], g)
+        f = SampledFunction.from_callable(F, lambda z: (z - 0.5) * (z - 2.5j))
+        res = log_lift(F, f, region)
+        ext = tietze_extend(f, region)
+        v = res.neighborhood.v
+        js, iis = np.nonzero(v.bits)
+        for root in (None, (int(iis[-1]), int(js[-1]))):
+            got = _unwrap_on(v, ext, root).values
+            assert got.tobytes() == bfs_unwrap(v.bits, ext.values, root).tobytes()

@@ -1,5 +1,5 @@
 """Work counts per CLI command: component labelings, region models,
-exhaustions and sphere-complement tests.
+exhaustions, sphere-complement tests and boundary distance fields.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -42,6 +42,8 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
     monkeypatch.setattr(builder, "sphere_complement_connected",
                         counting("sphere_tests",
                                  builder.sphere_complement_connected))
+    monkeypatch.setattr(topology, "distance_field",
+                        counting("boundary_fields", topology.distance_field))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = run_cli(argv)
@@ -81,6 +83,30 @@ class TestLabelingsPerCommand:
         assert n["labelings"] <= 21
         assert n["exhaustions"] == 3
         assert n["regions"] == 3
+
+
+class TestBoundaryDistancePerRegion:
+    """``RegionModel.boundary_distance`` is one exact EDT per region, however
+    many exhaustions, hole sets and disk covers read it."""
+
+    @pytest.mark.parametrize("argv, code, fields", [
+        (["check", "intro_staircase.scene", "--windows", "8,16,32"], 2, 3),
+        (["build-v", "segment.scene"], 0, 1),
+        (["union", "union_segments.scene"], 0, 1),
+        (["refute", "nested_rings.scene"], 1, 1),
+    ], ids=["check-windows", "build-v", "union", "refute"])
+    def test_one_field_per_region(self, monkeypatch, argv, code, fields):
+        got, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:]])
+        assert got == code
+        assert n["boundary_fields"] == fields
+
+    def test_field_is_read_only(self):
+        from arakgrid import make_grid, plane_region
+        region = plane_region(make_grid(-1, -1, 1, 1, 0.25))
+        dist = region.boundary_distance()
+        assert region.boundary_distance() is dist
+        with pytest.raises(ValueError):
+            dist[0, 0] = 0.0
 
 
 _DISK = "grid -1.25 -1.25 1.25 1.25 0.03125\nomega disk 0 0 1\n"
