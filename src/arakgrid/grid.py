@@ -549,6 +549,13 @@ class DistanceField:
         return float(self.values[j, i])
 
 
+def nearest_source_indices(source: CellSet) -> np.ndarray:
+    """(row, col) int32 arrays of each cell's nearest cell of the non-empty
+    ``source``, from one exact Euclidean distance (feature) transform."""
+    return ndimage.distance_transform_edt(~source.bits, return_distances=False,
+                                          return_indices=True)
+
+
 def distance_field(source: CellSet) -> DistanceField:
     """Exact center-to-center Euclidean distance to the nearest source cell.
 
@@ -559,8 +566,7 @@ def distance_field(source: CellSet) -> DistanceField:
     grid = source.grid
     if source.is_empty():
         return DistanceField(grid, np.full((grid.nrows, grid.ncols), np.inf))
-    inds = ndimage.distance_transform_edt(~source.bits, return_distances=False,
-                                          return_indices=True)
+    inds = nearest_source_indices(source)
     jj, ii = np.indices(source.bits.shape)
     d2 = (jj - inds[0]).astype(np.int64) ** 2 + (ii - inds[1]).astype(np.int64) ** 2
     return DistanceField(grid, np.sqrt(d2.astype(np.float64)) * grid.delta)

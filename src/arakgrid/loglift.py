@@ -14,7 +14,7 @@ from .arakelian import Exhaustion
 from .builder import NeighborhoodResult, _bfs_layers, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
-from .grid import CellSet
+from .grid import CellSet, nearest_source_indices
 from .topology import RegionModel, label_components
 
 
@@ -46,31 +46,21 @@ class SampledFunction:
 def tietze_extend(f: SampledFunction, region: RegionModel) -> SampledFunction:
     """Nearest-carrier-cell extension of f to the whole region.
 
-    Distances are center-to-center; exact integer squared offsets break ties
-    toward the lexicographically smallest carrier cell.  The extension agrees
-    with f on the carrier exactly, and its modulus never drops below the
-    carrier's minimum, which keeps the extension's zero set empty whenever f
-    has none.
+    Each cell takes the value of its center-nearest carrier cell, read off one
+    EDT feature transform (Maurer, Qi & Raghavan, IEEE TPAMI 2003); ties go
+    to the lexicographically smallest (i, j) carrier cell.  That is scipy's
+    choice, which it does not document: ``TestTietzeOracle`` pins it.  The
+    extension agrees with f on the carrier exactly and its modulus never drops
+    below the carrier's minimum, so its zero set is empty whenever f has none.
     """
     carrier = f.carrier
     if carrier.is_empty():
         raise PreconditionError("cannot extend from an empty carrier")
     if not carrier.issubset(region.omega):
         raise PreconditionError("carrier must lie inside the region")
-    grid = region.grid
-    jj, ii = np.indices(carrier.bits.shape)
-
-    js, iis = np.nonzero(carrier.bits)
-    order = np.lexsort((js, iis))          # (i, j) ascending
-    best_d2 = np.full(carrier.bits.shape, np.iinfo(np.int64).max, dtype=np.int64)
-    out = np.zeros(carrier.bits.shape, dtype=np.complex128)
-    for k in order:
-        ci, cj = int(iis[k]), int(js[k])
-        d2 = (ii - ci).astype(np.int64) ** 2 + (jj - cj).astype(np.int64) ** 2
-        better = d2 < best_d2              # strict: first (lex-least) wins ties
-        best_d2[better] = d2[better]
-        out[better] = f.values[cj, ci]
-    return SampledFunction(region.omega, np.where(region.omega.bits, out, 0))
+    rows, cols = nearest_source_indices(carrier)
+    return SampledFunction(region.omega,
+                           np.where(region.omega.bits, f.values[rows, cols], 0))
 
 
 @dataclass(eq=False)
@@ -142,6 +132,10 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
         raise PreconditionError("carrier is empty")
     if not F.same_cells(f.carrier):
         raise PreconditionError("sample carrier does not match F")
+    grid = F.grid
+    if root_cell is not None and not (0 <= root_cell[0] < grid.ncols
+                                      and 0 <= root_cell[1] < grid.nrows):
+        raise PreconditionError(f"root cell {root_cell} lies outside the grid")
     # eps_zero > 0 keeps every cell of V away from log(0)
     if not (math.isfinite(eps_zero) and eps_zero > 0 and math.isfinite(tol)):
         raise PreconditionError(

@@ -134,6 +134,27 @@ def nearest_carrier_values(carrier: np.ndarray, values: np.ndarray):
     return out
 
 
+def carrier_loop_extension(carrier: np.ndarray, values: np.ndarray,
+                           omega: np.ndarray) -> np.ndarray:
+    """Nearest-carrier extension masked to ``omega``, one full-grid pass per
+    carrier cell in (i, j) order, where a strict ``<`` keeps the
+    lexicographically smallest of equidistant carrier cells; the
+    per-carrier-loop twin of ``loglift.tietze_extend``."""
+    jj, ii = np.indices(carrier.shape)
+
+    js, iis = np.nonzero(carrier)
+    order = np.lexsort((js, iis))          # (i, j) ascending
+    best_d2 = np.full(carrier.shape, np.iinfo(np.int64).max, dtype=np.int64)
+    out = np.zeros(carrier.shape, dtype=np.complex128)
+    for k in order:
+        ci, cj = int(iis[k]), int(js[k])
+        d2 = (ii - ci).astype(np.int64) ** 2 + (jj - cj).astype(np.int64) ** 2
+        better = d2 < best_d2              # strict: first (lex-least) wins ties
+        best_d2[better] = d2[better]
+        out[better] = values[cj, ci]
+    return np.where(omega, out, 0)
+
+
 def circle_raster_oracle(grid, cx: float, cy: float, r: float,
                          nsamples: int = 10_000) -> np.ndarray:
     """Independent circle raster: dense arc samples mark containing cells,

@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
                       Primitive, ResolutionError, SampledFunction, log_lift,
                       make_grid, open_disk_region, plane_region,
-                      rasterize_closed, tietze_extend)
+                      parse_scene, rasterize_closed, tietze_extend)
 from arakgrid.loglift import _unwrap_on
 
-from oracles import bfs_unwrap, nearest_carrier_values
+from oracles import bfs_unwrap, carrier_loop_extension, nearest_carrier_values
+
+SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 
 
 def _line_scene(delta=1 / 64):
@@ -56,6 +60,106 @@ class TestTietzeExtend:
                                                        dtype=np.complex128))
         with pytest.raises(PreconditionError):
             tietze_extend(f, region)
+
+
+_TIE_SHAPES = st.one_of(st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                        st.tuples(st.just(1), st.integers(1, 20)),
+                        st.tuples(st.integers(1, 20), st.just(1)))
+# squared radii with many lattice points on their circle
+_LATTICE_R2 = (1, 2, 4, 5, 8, 25, 50, 65, 85, 125, 325)
+
+
+def _tie_heavy_carrier(data, nrows, ncols) -> np.ndarray:
+    """Sparse cells, a spaced lattice, a mirror-symmetric pattern or the
+    lattice points of one circle: carriers whose cells tie for nearest."""
+    jj, ii = np.indices((nrows, ncols))
+    kind = data.draw(st.sampled_from(["sparse", "lattice", "mirror", "circle"]))
+    if kind == "lattice":
+        si, sj = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        oi, oj = data.draw(st.integers(0, si - 1)), data.draw(st.integers(0, sj - 1))
+        return (ii % si == oi) & (jj % sj == oj)
+    if kind == "circle":
+        ci, cj = data.draw(st.integers(-5, 25)), data.draw(st.integers(-5, 25))
+        r2 = data.draw(st.sampled_from(_LATTICE_R2))
+        return (ii - ci) ** 2 + (jj - cj) ** 2 == r2
+    cells = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                         st.integers(0, nrows - 1)),
+                               min_size=1, max_size=8))
+    bits = np.zeros((nrows, ncols), dtype=bool)
+    for i, j in cells:
+        bits[j, i] = True
+    if kind == "mirror":
+        if data.draw(st.booleans()):
+            bits |= bits[:, ::-1]
+        if data.draw(st.booleans()):
+            bits |= bits[::-1, :]
+    return bits
+
+
+class TestTietzeOracle:
+    """``tietze_extend`` takes the lexicographically smallest of equidistant
+    carrier cells, bit for bit as the cell-by-cell oracle does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TIE_SHAPES, st.sampled_from(["plane", "disk"]), st.data())
+    def test_matches_oracle_on_tie_heavy_carriers(self, shape, kind, data):
+        nrows, ncols = shape
+        g = make_grid(0, 0, ncols, nrows, 1)
+        if kind == "plane":
+            region = plane_region(g)
+        else:
+            r = data.draw(st.floats(0.5, 0.6 * math.hypot(ncols, nrows)))
+            region = open_disk_region(g, ncols / 2, nrows / 2, r)
+        omega = region.omega.bits
+        bits = _tie_heavy_carrier(data, nrows, ncols) & omega
+        if not bits.any():
+            js, iis = np.nonzero(omega)
+            bits[js[0], iis[0]] = True
+        # distinct values, so a wrong pick among tied cells shows
+        vals = ((np.arange(nrows * ncols) + 1) * (1 + 0.5j)).reshape(nrows, ncols)
+        ext = tietze_extend(SampledFunction(CellSet(g, bits), vals), region)
+        want = np.where(omega, nearest_carrier_values(bits, vals), 0)
+        assert ext.values.tobytes() == want.tobytes()
+
+
+def _loglift_line(delta):
+    """loglift_line.scene regridded to delta, one row of centers on y = 0."""
+    with open(os.path.join(SCENES, "loglift_line.scene")) as fh:
+        sc = parse_scene(fh.read())
+    g = make_grid(sc.grid.xmin, -0.5 + delta / 2, sc.grid.xmax, 0.5 + delta / 2,
+                  delta)
+    f = SampledFunction.from_callable(sc.raster("F", g), sc.fns["F"].as_callable())
+    return f, sc.region(g)
+
+
+class TestCarrierLoopTwin:
+    """On larger inputs than the cell-by-cell oracle can take, the feature
+    transform gives the bytes of the per-carrier-cell loop."""
+
+    @staticmethod
+    def _assert_twin(f, region):
+        ext = tietze_extend(f, region)
+        want = carrier_loop_extension(f.carrier.bits, f.values, region.omega.bits)
+        assert ext.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 64, 1 / 128])
+    def test_loglift_line_scene(self, delta):
+        self._assert_twin(*_loglift_line(delta))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_polylines(self, seed):
+        rng = np.random.default_rng(seed)
+        g = make_grid(0, 0, 2, 2, 1 / 64)          # 128 x 128
+        if seed % 2:
+            region = open_disk_region(g, 1, 1, 1)
+            pts = [(1 + r * math.cos(t), 1 + r * math.sin(t)) for r, t in
+                   zip(rng.uniform(0, 0.8, 5), rng.uniform(0, 2 * math.pi, 5))]
+        else:
+            region = plane_region(g)
+            pts = [tuple(p) for p in rng.uniform(0.05, 1.95, (5, 2))]
+        F = rasterize_closed([Primitive.polyline(pts)], g)
+        f = SampledFunction.from_callable(F, lambda z: (z - 0.3) * (z - 1.7j))
+        self._assert_twin(f, region)
 
 
 class TestLogLift:
@@ -137,6 +241,18 @@ class TestLogLift:
         f = SampledFunction.from_callable(F, lambda z: value)
         with pytest.raises(PreconditionError):
             log_lift(F, f, region)
+
+    @pytest.mark.parametrize("root", ["west", "south", "east", "north"])
+    def test_root_cell_outside_grid_rejected(self, root):
+        # a negative index would wrap to the far edge, a large one escape
+        # as a bare IndexError
+        g, region = _line_scene(1 / 16)
+        F = rasterize_closed([Primitive.segment((1, 0), (2, 0))], g)
+        f = SampledFunction.from_callable(F, lambda z: z)
+        cell = {"west": (-1, 0), "south": (0, -1), "east": (g.ncols, 0),
+                "north": (0, g.nrows)}[root]
+        with pytest.raises(PreconditionError, match=re.escape(str(cell))):
+            log_lift(F, f, region, root_cell=cell)
 
     def test_requires_simple_connectivity(self):
         g = make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32)

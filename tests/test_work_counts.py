@@ -1,5 +1,6 @@
 """Work counts per CLI command: component labelings, region models,
-exhaustions, sphere-complement tests and boundary distance fields.
+exhaustions, sphere-complement tests, boundary distance fields and exact
+distance (feature) transforms.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from arakgrid import arakelian, builder, topology
+from arakgrid import (Primitive, SampledFunction, arakelian, builder, grid,
+                      make_grid, plane_region, rasterize_closed, tietze_extend,
+                      topology)
 from arakgrid.cli import run_cli
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -44,6 +47,8 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
                                  builder.sphere_complement_connected))
     monkeypatch.setattr(topology, "distance_field",
                         counting("boundary_fields", topology.distance_field))
+    monkeypatch.setattr(grid.ndimage, "distance_transform_edt",
+                        counting("edts", grid.ndimage.distance_transform_edt))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = run_cli(argv)
@@ -107,6 +112,36 @@ class TestBoundaryDistancePerRegion:
         assert region.boundary_distance() is dist
         with pytest.raises(ValueError):
             dist[0, 0] = 0.0
+
+
+class TestFeatureTransformsPerExtension:
+    """``tietze_extend`` reads every cell's nearest carrier cell off one
+    feature transform, whatever the carrier's size; a per-carrier-cell loop
+    would show as zero transforms or as one per cell."""
+
+    @pytest.mark.parametrize("prim", [
+        Primitive.point((0.3, 0.2)),
+        Primitive.segment((-0.5, 0), (0.5, 0)),
+        Primitive.disk((0, 0), 0.6),
+    ], ids=["point", "segment", "disk"])
+    def test_one_transform(self, monkeypatch, prim):
+        g = make_grid(-1, -1, 1, 1, 1 / 64)
+        F = rasterize_closed([prim], g)
+        f = SampledFunction.from_callable(F, lambda z: z + 2)
+        region = plane_region(g)
+        calls = []
+        edt = grid.ndimage.distance_transform_edt
+        monkeypatch.setattr(grid.ndimage, "distance_transform_edt",
+                            lambda *a, **k: calls.append(1) or edt(*a, **k))
+        tietze_extend(f, region)
+        assert len(calls) == 1
+
+    def test_loglift_command(self, monkeypatch):
+        # the plane region has no boundary field and U has no obstacles to
+        # cover, so the extension's transform is the only one
+        code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
+        assert code == 0
+        assert n["edts"] == 1
 
 
 _DISK = "grid -1.25 -1.25 1.25 1.25 0.03125\nomega disk 0 0 1\n"
