@@ -100,7 +100,7 @@ class Exhaustion:
 def build_exhaustion(region: RegionModel, nlevels: int, *,
                      r_values=None, R_values=None, center=None,
                      capped=None) -> Exhaustion:
-    """Build nested compact levels from distance-to-boundary thresholds.
+    """The region's exhaustion for these thresholds: nested compact levels.
 
     Level k keeps cells at least ``r_k`` from the region's complement
     (``r_k = delta * 2**(nlevels-k)`` by default) and, on regions that run
@@ -109,6 +109,10 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
     their successors so the nesting invariants hold exactly.  Radius caps are
     skipped for regions fully visible in the window, where the boundary
     margin alone already makes every level compact.
+
+    The exhaustion belongs to the region: it is built on the first call with
+    given resolved thresholds and every later call returns the same object,
+    so the check and the builders share it.  Level bits are read-only.
     """
     if nlevels < 1:
         raise PreconditionError("nlevels must be >= 1")
@@ -125,6 +129,10 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
                                     "overflows a float") from None
     if capped and R_values is None:
         R_values = [k / nlevels * grid.half_diagonal for k in range(1, nlevels + 1)]
+    key = (nlevels, tuple(r_values), tuple(R_values) if capped else None,
+           tuple(center), capped)
+    if key in region._exhaustions:
+        return region._exhaustions[key]
 
     dist = region.boundary_distance()
     X, Y = grid.center_mesh()
@@ -144,6 +152,7 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue
+        bits.flags.writeable = False
         levels.append(CellSet(grid, bits))
         ids.append(k)
         prev = bits
@@ -154,9 +163,10 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
     outer = [float(abs_centers[K.bits].max()) for K in levels]
     bounds = [outer[min(k + 1, len(levels) - 1)] + grid.delta / 2
               for k in range(len(levels))]
-    return Exhaustion(levels, ids, list(r_values),
-                      list(R_values) if capped else None,
-                      tuple(center), capped, bounds)
+    exh = region._exhaustions[key] = Exhaustion(
+        levels, ids, list(r_values), list(R_values) if capped else None,
+        tuple(center), capped, bounds)
+    return exh
 
 
 def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:
@@ -270,13 +280,14 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                     scene_builder=None) -> ArakelianVerdict:
     """Run the staged check over an exhaustion and a window schedule.
 
-    ``exhaustion`` must be built on ``region``; it is used as given on the
-    base window.  ``window_schedule`` lists grids to re-rasterize the scene
-    on (the first entries may include the base grid); rebuilding on grids
-    other than the region's own requires ``scene_builder(grid) -> (F,
-    region)``.  On those grids the exhaustion is rebuilt from the *base*
-    thresholds, so each level is a fixed compact set observed through
-    growing windows.
+    ``exhaustion`` is the region's own, ``build_exhaustion(region, n)``; the
+    caller picks only n.  It is used as given on the base window, and with
+    n = 3 it is the very object ``build_v`` later reads on this region.
+    ``window_schedule`` lists grids to re-rasterize the scene on (the first
+    entries may include the base grid); rebuilding on grids other than the
+    region's own requires ``scene_builder(grid) -> (F, region)``.  Each such
+    region builds its exhaustion from the *base* thresholds, so each level
+    is a fixed compact set observed through growing windows.
 
     Every window labels region - F once and region - (F | K) once per level.
     The top-level alpha neighborhood reuses the base window's two hole sets;

@@ -123,13 +123,13 @@ def _certify(v: CellSet, F: CellSet, U: CellSet,
     return cert, rep.n_components
 
 
-def disk_cover(F: CellSet, U: CellSet, region: RegionModel, *,
-               exhaustion: Exhaustion | None = None) -> DiskCover:
+def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     """Greedy annulus-by-annulus disk cover of the obstacle set U's complement.
 
-    Walking the exhaustion annuli in order and scanning row-major, every
-    still-uncovered obstacle cell contributes a disk with the distance-rule
-    radius; selection stops when the annulus is covered.  Deterministic.
+    Walking the annuli of the region's 3-level exhaustion in order and
+    scanning row-major, every still-uncovered obstacle cell contributes a
+    disk with the distance-rule radius; selection stops when the annulus is
+    covered.  Deterministic.
     """
     grid = region.grid
     if not F.issubset(U) or not U.issubset(region.omega):
@@ -145,11 +145,9 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel, *,
             "carrier set touches the obstacle set at grid scale")
     radius = np.minimum(np.minimum(d_f / 2.0, d_bd), 1.0)
 
-    if exhaustion is None:
-        exhaustion = build_exhaustion(region, 3)
     annuli = []
     prev = None
-    for K in exhaustion.levels:
+    for K in build_exhaustion(region, 3).levels:
         annuli.append(K.bits if prev is None else (K.bits & ~prev))
         prev = K.bits
     residue = region.omega.bits & ~prev
@@ -334,19 +332,20 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     return EscapePlan(curves, CellSet(grid, union))
 
 
-def build_v(F: CellSet, U: CellSet, region: RegionModel, *,
-            exhaustion: Exhaustion | None = None) -> NeighborhoodResult:
+def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
     """Carve V out of U: remove the obstacle disk cover and the escape
     curves, then re-verify F in V, V in U and the connectivity of the
     compactified complement (plus the sphere complement on simply connected
     scenes).  Raises CertificateError instead of returning a bad V.
+
+    Disks and curves follow the region's 3-level exhaustion, which the
+    region builds once and shares: a ``check_arakelian`` run on
+    ``build_exhaustion(region, 3)`` has already built it.
     """
     if not F.issubset(U) or not U.issubset(region.omega):
         raise PreconditionError("need F inside U inside the region")
-    if exhaustion is None:
-        exhaustion = build_exhaustion(region, 3)
-    cover = disk_cover(F, U, region, exhaustion=exhaustion)
-    plan = escape_curves(cover, F, region, exhaustion)
+    cover = disk_cover(F, U, region)
+    plan = escape_curves(cover, F, region, build_exhaustion(region, 3))
     v = (U - cover.covered) - plan.union
     cert, ncomp = _certify(v, F, U, region)
     result = NeighborhoodResult(v, cover, plan, cert, ncomp)
@@ -392,8 +391,7 @@ def refutation_blocks_build(F: CellSet, U: CellSet,
 
 
 def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
-                     region: RegionModel, *,
-                     exhaustion: Exhaustion | None = None) -> NeighborhoodResult:
+                     region: RegionModel) -> NeighborhoodResult:
     """Build one neighborhood for a disjoint pair of hole-free carriers.
 
     The region is split along the distance bisector (ties to the first
@@ -404,9 +402,9 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     connected scenes.
     """
     if F1.is_empty():
-        return build_v(F2, U, region, exhaustion=exhaustion)
+        return build_v(F2, U, region)
     if F2.is_empty():
-        return build_v(F1, U, region, exhaustion=exhaustion)
+        return build_v(F1, U, region)
     if not (F1 & F2).is_empty():
         raise PreconditionError("carriers overlap at grid scale")
     if not region.simply_connected:
@@ -423,13 +421,8 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     d2 = distance_field(F2).values
     g1 = region.omega.bits & (d1 <= d2)
     g2 = region.omega.bits & (d1 > d2)
-    if exhaustion is None:
-        exhaustion = build_exhaustion(region, 3)
-
-    r1 = build_v(F1, CellSet(region.grid, g1 & U.bits), region,
-                 exhaustion=exhaustion)
-    r2 = build_v(F2, CellSet(region.grid, g2 & U.bits), region,
-                 exhaustion=exhaustion)
+    r1 = build_v(F1, CellSet(region.grid, g1 & U.bits), region)
+    r2 = build_v(F2, CellSet(region.grid, g2 & U.bits), region)
 
     v = r1.v | r2.v
     f_in_v = (F1 | F2).issubset(v)

@@ -15,6 +15,7 @@ which keeps repeated reports byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .errors import (AmbiguousRegionError, ArakGridError, BuildRefusalError,
 from .grid import CellSet, Primitive, rasterize_closed
 from .render import LAYER_NAMES, render_ppm, render_svg
 from .scene import Scene, parse_scene
+from .topology import RegionModel
 from .loglift import SampledFunction
 
 REPORT_SCHEMA = {
@@ -54,6 +56,8 @@ REPORT_SCHEMA = {
 
 _EXITS = {"ok": 0, "negative": 1, "inconclusive": 2, "error": 3}
 
+_Outcome = tuple[int, dict | None, list[str]]   # exit code, report, human lines
+
 
 def _load_scene(path: str) -> Scene:
     try:
@@ -63,14 +67,13 @@ def _load_scene(path: str) -> Scene:
         raise InputError(f"cannot read scene {path!r}: {exc}") from exc
 
 
-def _report(status, witnesses=None, extents=None, certificate=None,
-            timings=None) -> dict:
+def _report(status, witnesses=None, extents=None, certificate=None) -> dict:
     return {
         "status": status,
         "witnesses": witnesses or [],
         "extents": extents,
         "certificate": certificate,
-        "timings_ms": timings,
+        "timings_ms": None,
     }
 
 
@@ -107,19 +110,7 @@ def _schedule(scene: Scene, windows: str | None):
     return [scene.grid.with_ymax(t) for t in tops]
 
 
-def _timer():
-    marks = {}
-    t0 = time.perf_counter()
-
-    def mark(name):
-        marks[name] = round((time.perf_counter() - t0) * 1000.0, 3)
-    return marks, mark
-
-
-def _cmd_check(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
+def _cmd_check(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster(args.set)
     exh = ak.build_exhaustion(region, args.levels)
     schedule = _schedule(scene, args.windows)
@@ -128,10 +119,8 @@ def _cmd_check(args) -> tuple[int, dict | None, list[str]]:
         return scene.raster(args.set, g), scene.region(g)
 
     verdict = ak.check_arakelian(F, region, exh, schedule, scene_builder=rebuild)
-    mark("check")
     rep = verdict.to_json_dict()
-    report = _report(rep["status"], rep["witnesses"], rep["extents"],
-                     None, marks if args.timings else None)
+    report = _report(rep["status"], rep["witnesses"], rep["extents"])
     lines = [f"status: {verdict.status}"
              + (f" level={verdict.level}" if verdict.level is not None else "")]
     if verdict.status == ak.REFUTED:
@@ -151,92 +140,54 @@ def _cmd_check(args) -> tuple[int, dict | None, list[str]]:
     return code, report, lines
 
 
-def _cmd_holes(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
+def _cmd_holes(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster(args.set)
     K = _parse_with_k(args.with_k, scene.grid)
     hs = ak.holes(F | K, region)
     rec = ak._extent(hs, region)
-    mark("holes")
     pts = [list(region.grid.cell_center(i, j)) for i, j in hs.witness_cells()]
-    report = _report("HOLES", pts, rec.to_dict() | {"level": None},
-                     None, marks if args.timings else None)
+    report = _report("HOLES", pts, rec.to_dict() | {"level": None})
     lines = [f"holes: {rec.count} (ambiguous components: {rec.n_ambiguous})",
              f"max |center|: {rec.max_abs:.6g}  area: {rec.area:.6g}"]
     return _EXITS["ok"], report, lines
 
 
-def _certificate_failure(exc: CertificateError, args, timings):
-    cert = exc.result.certificate.to_dict() if exc.result is not None else None
-    report = _report("CERTIFICATE_FAILED", None, None, cert, timings)
-    return _EXITS["negative"], report, [f"certificate failed: {exc}"]
-
-
-def _cmd_build_v(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
-    F = scene.raster("F")
-    U = scene.obstacle_free_u(region)
-    try:
-        result = bd.build_v(F, U, region)
-    except CertificateError as exc:
-        mark("build_v")
-        return _certificate_failure(exc, args, marks if args.timings else None)
-    mark("build_v")
+def _cmd_build_v(args, scene: Scene, region: RegionModel) -> _Outcome:
+    result = bd.build_v(scene.raster("F"), scene.obstacle_free_u(region), region)
     extents = {
         "v_cells": result.v.count(),
         "disks": len(result.cover.disks),
         "curve_cells": result.plan.union.count(),
         "complement_components": result.n_complement_components,
     }
-    report = _report("OK", None, extents, result.certificate.to_dict(),
-                     marks if args.timings else None)
+    report = _report("OK", None, extents, result.certificate.to_dict())
     lines = [f"V built: {extents['v_cells']} cells, {extents['disks']} disks, "
              f"{extents['curve_cells']} curve cells",
              f"certificate: {result.certificate.to_dict()}"]
     return _EXITS["ok"], report, lines
 
 
-def _cmd_refute(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
+def _cmd_refute(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster(args.set)
     K = _parse_with_k(args.with_k, scene.grid)
     wit = bd.refute_witness(F, region, K)
     blocked = bd.refutation_blocks_build(F, wit.u, region)
-    mark("refute")
     report = _report("REFUTED", [list(p) for p in wit.points],
                      {"witness_count": len(wit.points),
-                      "blocks_construction": blocked},
-                     None, marks if args.timings else None)
+                      "blocks_construction": blocked})
     lines = [f"witness points ({len(wit.points)}): {wit.points}",
              f"construction blocked on the punctured set: {blocked}"]
     return _EXITS["negative"], report, lines
 
 
-def _cmd_union(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
-    F1 = scene.raster("F1")
-    F2 = scene.raster("F2")
-    U = scene.obstacle_free_u(region)
-    try:
-        result = bd.disjoint_union_v(F1, F2, U, region)
-    except CertificateError as exc:
-        mark("union")
-        return _certificate_failure(exc, args, marks if args.timings else None)
-    mark("union")
+def _cmd_union(args, scene: Scene, region: RegionModel) -> _Outcome:
+    result = bd.disjoint_union_v(scene.raster("F1"), scene.raster("F2"),
+                                 scene.obstacle_free_u(region), region)
     extents = {
         "v_cells": result.v.count(),
         "disks": len(result.cover.disks),
     }
-    report = _report("OK", None, extents, result.certificate.to_dict(),
-                     marks if args.timings else None)
+    report = _report("OK", None, extents, result.certificate.to_dict())
     lines = [f"combined V built: {extents['v_cells']} cells",
              f"certificate: {result.certificate.to_dict()}"]
     return _EXITS["ok"], report, lines
@@ -245,6 +196,7 @@ def _cmd_union(args) -> tuple[int, dict | None, list[str]]:
 def _csv_samples(path: str, F: CellSet) -> SampledFunction:
     import csv
     import numpy as np
+    g = F.grid
     vals = np.zeros(F.bits.shape, dtype=np.complex128)
     seen = np.zeros(F.bits.shape, dtype=bool)
     try:
@@ -258,7 +210,11 @@ def _csv_samples(path: str, F: CellSet) -> SampledFunction:
                     continue                    # header or stray line
                 if not all(math.isfinite(v) for v in (x, y, re_, im)):
                     raise InputError(f"non-finite number in samples row {row}")
-                i, j = F.grid.point_cell(x, y)
+                if not (g.xmin <= x <= g.xmax and g.ymin <= y <= g.ymax):
+                    raise InputError(f"samples row {row} misses the window "
+                                     f"[{g.xmin:g}, {g.xmax:g}] x "
+                                     f"[{g.ymin:g}, {g.ymax:g}]")
+                i, j = g.point_cell(x, y)
                 vals[j, i] = complex(re_, im)
                 seen[j, i] = True
     except (OSError, UnicodeDecodeError) as exc:
@@ -269,10 +225,7 @@ def _csv_samples(path: str, F: CellSet) -> SampledFunction:
     return SampledFunction(F, vals)
 
 
-def _cmd_loglift(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    marks, mark = _timer()
-    region = scene.region()
+def _cmd_loglift(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster("F")
     if args.fn_csv:
         f = _csv_samples(args.fn_csv, F)
@@ -281,48 +234,37 @@ def _cmd_loglift(args) -> tuple[int, dict | None, list[str]]:
             raise InputError("scene binds no function to F; add an fn line "
                              "or pass --fn-csv")
         f = SampledFunction.from_callable(F, scene.fns["F"].as_callable())
-    try:
-        result = ll.log_lift(F, f, region, eps_zero=args.eps_zero, tol=args.tol)
-    except CertificateError as exc:
-        mark("loglift")
-        return _certificate_failure(exc, args, marks if args.timings else None)
-    mark("loglift")
+    result = ll.log_lift(F, f, region, eps_zero=args.eps_zero, tol=args.tol)
     extents = {
         "residual_max": result.residual_max,
         "imag_jump_max": result.imag_jump_max,
         "carrier_cells": F.count(),
     }
-    report = _report("OK", None, extents, None,
-                     marks if args.timings else None)
+    report = _report("OK", None, extents)
     lines = [f"log lift verified: max |exp(g) - f| = {result.residual_max:.3g}",
              f"max adjacent imaginary jump on F: {result.imag_jump_max:.3g}"]
     return _EXITS["ok"], report, lines
 
 
-def _cmd_render(args) -> tuple[int, dict | None, list[str]]:
-    scene = _load_scene(args.scene)
-    region = scene.region()
+def _cmd_render(args, scene: Scene, region: RegionModel) -> _Outcome:
     names = [n.strip() for n in args.layers.split(",") if n.strip()]
     for n in names:
         if n not in LAYER_NAMES:
             raise InputError(f"unknown layer {n!r}; choose from {LAYER_NAMES}")
 
     needs_v = any(n in ("V", "disks", "curves") for n in names)
-    result = None
-    if needs_v:
-        F = scene.raster("F")
-        U = scene.obstacle_free_u(region)
-        result = bd.build_v(F, U, region)
+    F = scene.raster("F") if needs_v or {"F", "holes"} & set(names) else None
+    U = scene.obstacle_free_u(region) if needs_v or "U" in names else None
+    result = bd.build_v(F, U, region) if needs_v else None
     layers = []
     for n in names:
         if n == "F":
-            layers.append(("F", scene.raster("F").bits))
+            layers.append(("F", F.bits))
         elif n == "U":
-            layers.append(("U", scene.obstacle_free_u(region).bits))
+            layers.append(("U", U.bits))
         elif n == "V":
             layers.append(("V", result.v.bits))
         elif n == "holes":
-            F = scene.raster("F")
             K = _parse_with_k(args.with_k, scene.grid)
             layers.append(("holes", ak.holes(F | K, region).union.bits))
         elif n == "disks":
@@ -342,6 +284,7 @@ def _cmd_render(args) -> tuple[int, dict | None, list[str]]:
     return _EXITS["ok"], None, [f"wrote {args.output} ({len(data)} bytes)"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="arakgrid",
@@ -400,16 +343,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
-    ap = _build_parser()
+    """Run one subcommand and return its exit code.  Every handler gets the
+    same prologue: load the scene, start the clock, build the region.  A
+    failed certificate becomes the CERTIFICATE_FAILED report here."""
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
-        code, report, lines = args.fn(args)
+        scene = _load_scene(args.scene)
+        t0 = time.perf_counter()
+        try:
+            code, report, lines = args.fn(args, scene, scene.region())
+        except CertificateError as exc:
+            cert = exc.result.certificate.to_dict() if exc.result else None
+            code, lines = _EXITS["negative"], [f"certificate failed: {exc}"]
+            report = _report("CERTIFICATE_FAILED", certificate=cert)
+        if report is not None and args.timings:
+            ms = round((time.perf_counter() - t0) * 1000.0, 3)
+            report["timings_ms"] = {args.command.replace("-", "_"): ms}
     except (NotSimplyConnectedError, BuildRefusalError) as exc:
-        _emit(_report("REFUSED", None, {"reason": str(exc)}, None, None),
-              args, [])
+        _emit(_report("REFUSED", None, {"reason": str(exc)}), args, [])
         print(f"refused: {exc}", file=sys.stderr)
         return _EXITS["negative"]
     except LiftVerificationError as exc:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arakelian import Exhaustion
 from .builder import NeighborhoodResult, _bfs_layers, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
@@ -115,7 +114,7 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
 
 def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
              eps_zero: float = 1e-6, tol: float = 1e-8, *,
-             root_cell=None, exhaustion: Exhaustion | None = None) -> LogLiftResult:
+             root_cell=None) -> LogLiftResult:
     """Lift a continuous logarithm of f on F through the neighborhood V.
 
     Requires a simply connected scene and |f| >= eps_zero > 0 on F.  The carrier
@@ -150,7 +149,7 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     ext = tietze_extend(f, region)
     small = np.abs(ext.values) < eps_zero
     u = CellSet(region.grid, region.omega.bits & ~small)
-    nbhd = build_v(F, u, region, exhaustion=exhaustion)
+    nbhd = build_v(F, u, region)
     g_tilde = _unwrap_on(nbhd.v, ext, root_cell=root_cell)
     g = SampledFunction(F, np.where(F.bits, g_tilde.values, 0))
 

@@ -79,6 +79,7 @@ class RegionModel:
     ambiguous_contact: np.ndarray = field(init=False)
     window_border: np.ndarray = field(init=False)
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
+    _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
 
     def __post_init__(self):
         if self.omega.is_empty():

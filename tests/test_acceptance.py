@@ -133,7 +133,7 @@ def test_criterion_3_verdict_construction_equivalence():
         F, obstacles = _random_open_scene(rng, grid, region)
         verdict = check_arakelian(F, region, exh)
         assert verdict.status == "VERIFIED_UP_TO"
-        result = build_v(F, region.omega - obstacles, region, exhaustion=exh)
+        result = build_v(F, region.omega - obstacles, region)
         c = result.certificate
         assert c.f_in_v and c.v_in_u and c.complement_connected
         ok += 1

@@ -68,7 +68,7 @@ class TestDiskCover:
         F = rasterize_closed([Primitive.segment((0, 0), (0.5, 0))], g)
         obstacles = _points(g, [(0, 1), (1.2, 1.2), (-1.5, -1.5)])
         exh = build_exhaustion(region, 3)
-        cover = disk_cover(F, region.omega - obstacles, region, exhaustion=exh)
+        cover = disk_cover(F, region.omega - obstacles, region)
         assert sum(cover.per_annulus.values()) == len(cover.disks)
 
 
@@ -77,8 +77,7 @@ class TestEscapeCurves:
         g, region = _plane()
         exh = build_exhaustion(region, 3)
         F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
-        plan = escape_curves(disk_cover(F, region.omega, region,
-                                        exhaustion=exh), F, region, exh)
+        plan = escape_curves(disk_cover(F, region.omega, region), F, region, exh)
         assert plan.curves == [] and plan.union.is_empty()
 
     def test_single_disk_escapes_past_vertical_wall(self):
@@ -86,7 +85,7 @@ class TestEscapeCurves:
         F = rasterize_closed([Primitive.segment((0, -1.5), (0, 1.5))], g)
         obstacle = _points(g, [(-1, 0)])
         exh = build_exhaustion(region, 3)
-        cover = disk_cover(F, region.omega - obstacle, region, exhaustion=exh)
+        cover = disk_cover(F, region.omega - obstacle, region)
         plan = escape_curves(cover, F, region, exh)
         assert len(plan.curves) == 1
         path = plan.curves[0].path
@@ -113,8 +112,7 @@ class TestEscapeCurves:
                     pts.append(tuple(p))
             obstacles = _points(g, pts)
             exh = build_exhaustion(region, 3)
-            cover = disk_cover(F, region.omega - obstacles, region,
-                               exhaustion=exh)
+            cover = disk_cover(F, region.omega - obstacles, region)
             plan = escape_curves(cover, F, region, exh)
             assert len(plan.curves) == len(cover.disks)
             for c in plan.curves:
@@ -126,7 +124,7 @@ class TestEscapeCurves:
         F = rasterize_closed([ring], g)
         obstacle = _points(g, [(0, 0)])
         exh = build_exhaustion(region, 3)
-        cover = disk_cover(F, region.omega - obstacle, region, exhaustion=exh)
+        cover = disk_cover(F, region.omega - obstacle, region)
         with pytest.raises(BuildRefusalError):
             escape_curves(cover, F, region, exh)
 
@@ -135,7 +133,7 @@ class TestEscapeCurves:
         F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
         obstacles = _points(g, [(0, 1), (0, -1)])
         exh = build_exhaustion(region, 3)
-        cover = disk_cover(F, region.omega - obstacles, region, exhaustion=exh)
+        cover = disk_cover(F, region.omega - obstacles, region)
         plan = escape_curves(cover, F, region, exh)
         for curve in plan.curves:
             full = curve.path
@@ -288,7 +286,7 @@ class TestEscapeRoutesMatchReference:
     def test_paths_unchanged(self, make):
         F, U, region = make()
         exh = build_exhaustion(region, 3)
-        cover = disk_cover(F, U, region, exhaustion=exh)
+        cover = disk_cover(F, U, region)
         assert cover.disks
         plan = escape_curves(cover, F, region, exh)
         got = [(c.center, c.path,

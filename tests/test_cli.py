@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -138,6 +139,26 @@ class TestCsvSamples:
         code, _, err = run(["loglift", scene("loglift_line.scene"),
                             "--fn-csv", str(csv_path)])
         assert code == 3 and "miss" in err
+
+    def test_row_outside_the_window_rejected(self, tmp_path):
+        # a row beyond the window used to clip onto the border cell and
+        # silently overwrite that carrier sample
+        p = tmp_path / "edge.scene"
+        p.write_text("grid -1 -1 1 1 0.125\nomega plane\n"
+                     "set F segment -1 0 0.5 0\n")
+        from arakgrid.scene import parse_scene
+        parsed = parse_scene(p.read_text())
+        rows = ["x,y,re,im"]
+        for i, j in parsed.raster("F").cells():
+            x, y = parsed.grid.cell_center(i, j)
+            rows.append(f"{x},{y},{2 + x},0")
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        argv = ["loglift", str(p), "--fn-csv", str(csv_path)]
+        assert run(argv)[0] == 0
+        csv_path.write_text("\n".join(rows + ["-50,0,9,0"]) + "\n")
+        code, out, err = run(argv)
+        assert code == 3 and "window" in err and "verified" not in out
 
     def test_opposite_phase_neighbors_hit_resolution_limit(self, tmp_path):
         p = tmp_path / "flip.scene"
@@ -439,6 +460,56 @@ class TestReports:
         _, report, _ = run_json(["check", scene("segment.scene"), "--timings"])
         assert isinstance(report["timings_ms"], dict)
         assert all(isinstance(v, float) for v in report["timings_ms"].values())
+
+    @pytest.mark.parametrize("argv, key", [
+        (["check", "segment.scene"], "check"),
+        (["holes", "segment.scene"], "holes"),
+        (["build-v", "segment.scene"], "build_v"),
+        (["refute", "nested_rings.scene"], "refute"),
+        (["union", "union_segments.scene"], "union"),
+        (["loglift", "loglift_line.scene"], "loglift"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_one_timing_per_command(self, argv, key):
+        _, report, _ = run_json([argv[0], scene(argv[1]), "--timings"])
+        assert list(report["timings_ms"]) == [key]
+        assert isinstance(report["timings_ms"][key], float)
+
+
+class TestCertificateFailure:
+    """A construction whose certificate fails is an expected negative: exit
+    1 with the CERTIFICATE_FAILED report and the failing certificate."""
+
+    @pytest.fixture(autouse=True)
+    def failing_certificate(self, monkeypatch):
+        from arakgrid import builder
+        certify = builder._certify
+
+        def broken(*args, **kwargs):
+            cert, ncomp = certify(*args, **kwargs)
+            return dataclasses.replace(cert, complement_connected=False), ncomp
+        monkeypatch.setattr(builder, "_certify", broken)
+
+    @pytest.mark.parametrize("argv", [
+        ["build-v", "segment.scene"],
+        ["union", "union_segments.scene"],
+        ["loglift", "loglift_line.scene"],
+    ], ids=lambda argv: argv[0])
+    def test_reported_as_negative(self, argv):
+        code, report, err = run_json([argv[0], scene(argv[1])])
+        assert code == 1 and "Traceback" not in err
+        assert report["status"] == "CERTIFICATE_FAILED"
+        assert report["certificate"]["complement_connected"] is False
+        assert report["timings_ms"] is None
+        code, out, _ = run([argv[0], scene(argv[1])])
+        assert code == 1 and "certificate failed" in out
+
+    def test_render_is_negative(self, tmp_path):
+        # render used to report a failed certificate as an input error
+        out_path = tmp_path / "v.svg"
+        code, out, err = run(["render", scene("segment.scene"), "--layers",
+                              "V", "-o", str(out_path)])
+        assert code == 1 and "certificate failed" in out
+        assert not out_path.exists()
 
 
 class TestRender:

@@ -26,7 +26,8 @@ def scene(name):
     return os.path.join(SCENES, name)
 
 
-def count_work(monkeypatch, argv) -> tuple[int, Counter]:
+def install_counters(monkeypatch) -> Counter:
+    """Count calls of the wrapped work functions until the test ends."""
     counts = Counter()
 
     def counting(key, fn):
@@ -49,6 +50,11 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
                         counting("boundary_fields", topology.distance_field))
     monkeypatch.setattr(grid.ndimage, "distance_transform_edt",
                         counting("edts", grid.ndimage.distance_transform_edt))
+    return counts
+
+
+def count_work(monkeypatch, argv) -> tuple[int, Counter]:
+    counts = install_counters(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = run_cli(argv)
@@ -88,6 +94,37 @@ class TestLabelingsPerCommand:
         assert n["labelings"] <= 21
         assert n["exhaustions"] == 3
         assert n["regions"] == 3
+
+
+class TestOneExhaustionPerRegion:
+    """``build_exhaustion`` builds each region's exhaustion once; the check
+    and the builders read the same read-only levels."""
+
+    def test_same_object_read_only(self):
+        region = plane_region(make_grid(-1, -1, 1, 1, 0.125))
+        exh = arakelian.build_exhaustion(region, 3)
+        assert arakelian.build_exhaustion(region, 3) is exh
+        assert arakelian.build_exhaustion(region, 2) is not exh
+        for K in exh.levels:
+            with pytest.raises(ValueError):
+                K.bits[0, 0] = True
+
+    def test_build_v_after_check_labels_no_exhaustion_again(self, monkeypatch):
+        g = make_grid(-2, -2, 2, 2, 1 / 16)
+        region = plane_region(g)
+        F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
+        obstacles = rasterize_closed([Primitive.point((0, 1)),
+                                      Primitive.point((0, -1))], g)
+        n = install_counters(monkeypatch)
+        verdict = arakelian.check_arakelian(
+            F, region, arakelian.build_exhaustion(region, 3))
+        assert verdict.status == "VERIFIED_UP_TO"
+        # 3 exhaustion fills, region - F, and region - (F | K) per level
+        assert n["labelings"] == 7
+        result = builder.build_v(F, region.omega - obstacles, region)
+        assert result.certificate.ok() and len(result.cover.disks) == 2
+        # escape stages and the certificate only: no exhaustion fills
+        assert n["labelings"] == 12
 
 
 class TestBoundaryDistancePerRegion:
