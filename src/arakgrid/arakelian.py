@@ -97,40 +97,43 @@ class Exhaustion:
             raise ArakGridError("exhaustion does not cover the region")
 
 
-def build_exhaustion(region: RegionModel, nlevels: int, *,
-                     r_values=None, R_values=None, center=None,
-                     capped=None) -> Exhaustion:
-    """The region's exhaustion for these thresholds: nested compact levels.
+def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
+                     like: Exhaustion | None = None) -> Exhaustion:
+    """The region's exhaustion: nested compact levels.
 
-    Level k keeps cells at least ``r_k`` from the region's complement
-    (``r_k = delta * 2**(nlevels-k)`` by default) and, on regions that run
-    off the window, within ``R_k`` of the window center (``R_k`` growing to
-    the window half-diagonal).  Levels are then hole-filled and dilated into
-    their successors so the nesting invariants hold exactly.  Radius caps are
-    skipped for regions fully visible in the window, where the boundary
-    margin alone already makes every level compact.
+    Level k keeps cells at least ``r_k = delta * 2**(nlevels-k)`` from the
+    region's complement and, on regions that run off the window, within
+    ``R_k = k / nlevels * half-diagonal`` of the window center.
+    Levels are then hole-filled and dilated into their successors so the
+    nesting invariants hold exactly.  Radius caps are skipped for regions
+    fully visible in the window, where the boundary margin alone already
+    makes every level compact.
+
+    ``like`` takes another exhaustion's nlevels, r, R, center and cap
+    instead, so the same compact levels are observed on another window.
 
     The exhaustion belongs to the region: it is built on the first call with
     given resolved thresholds and every later call returns the same object,
     so the check and the builders share it.  Level bits are read-only.
     """
-    if nlevels < 1:
-        raise PreconditionError("nlevels must be >= 1")
     grid = region.grid
-    if capped is None:
+    if like is not None:
+        nlevels, r_values, R_values, center, capped = (
+            len(like.r_values), like.r_values, like.R_values, like.center,
+            like.capped)
+    else:
+        if nlevels is None or nlevels < 1:
+            raise PreconditionError("nlevels must be >= 1")
         capped = bool(region.alpha_border.any())
-    if center is None:
         center = grid.window_center
-    if r_values is None:
         try:
             r_values = [math.ldexp(grid.delta, nlevels - k) for k in range(1, nlevels + 1)]
         except OverflowError:
             raise PreconditionError(f"nlevels={nlevels}: delta * 2**(nlevels - 1) "
                                     "overflows a float") from None
-    if capped and R_values is None:
-        R_values = [k / nlevels * grid.half_diagonal for k in range(1, nlevels + 1)]
-    key = (nlevels, tuple(r_values), tuple(R_values) if capped else None,
-           tuple(center), capped)
+        R_values = [k / nlevels * grid.half_diagonal
+                    for k in range(1, nlevels + 1)] if capped else None
+    key = (nlevels, tuple(r_values), R_values and tuple(R_values), tuple(center), capped)
     if key in region._exhaustions:
         return region._exhaustions[key]
 
@@ -170,9 +173,14 @@ def build_exhaustion(region: RegionModel, nlevels: int, *,
 
 
 def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:
-    """The extent record of a hole set already computed on the region."""
+    """The extent of a hole set on the region; 0 and inf when it has no holes."""
+    max_abs, min_bd = 0.0, math.inf
+    if hs.count:
+        bits = hs.union.bits
+        max_abs = float(region.grid.center_abs()[bits].max())
+        min_bd = float(region.boundary_distance()[bits].min())
     return ExtentRecord(level, hs.count, hs.union.count() * region.grid.delta ** 2,
-                        hs.max_abs, hs.min_bd_dist, len(hs.ambiguous_labels))
+                        max_abs, min_bd, len(hs.ambiguous_labels))
 
 
 def hole_union_extent(F: CellSet, K: CellSet, region: RegionModel) -> ExtentRecord:
@@ -269,7 +277,7 @@ def _refuted_verdict(hs, region: RegionModel) -> ArakelianVerdict:
         "point": list(points[0]),
         "hole_size": int(hs.labeling.sizes[first]),
         "hole_count": hs.count,
-        "max_abs": hs.max_abs,
+        "max_abs": float(region.grid.center_abs()[hs.union.bits].max()),
     }
     return ArakelianVerdict(REFUTED, witness=witness,
                             witnesses=[list(p) for p in points])
@@ -326,10 +334,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                 reason="window-ambiguous complement components; declare the "
                        "unbounded edges of the scene")
 
-        exh_g = exhaustion if on_base else build_exhaustion(
-            region_g, len(exhaustion.r_values), r_values=exhaustion.r_values,
-            R_values=exhaustion.R_values, center=exhaustion.center,
-            capped=exhaustion.capped)
+        exh_g = exhaustion if on_base else build_exhaustion(region_g, like=exhaustion)
         if exh_g.level_ids != exhaustion.level_ids:
             return ArakelianVerdict(
                 INCONCLUSIVE, reason="exhaustion levels differ across windows")

@@ -7,7 +7,7 @@ can break continuous guarantees, so the certificate is the contract, and a
 failed certificate raises instead of returning.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +34,10 @@ class Disk:
 @dataclass(eq=False)
 class DiskCover:
     """Closed disks covering the obstacle set, radii from the distance rule
-    min(dist(x, F)/2, dist(x, complement), 1)."""
+    min(dist(x, F)/2, dist(x, complement), 1); annuli never decrease along it."""
 
     disks: list[Disk]
     covered: CellSet
-    per_annulus: dict[int, int]      # disks selected per exhaustion annulus
 
 
 @dataclass(eq=False)
@@ -123,6 +122,16 @@ def _certify(v: CellSet, F: CellSet, U: CellSet,
     return cert, rep.n_components
 
 
+def _checked(result: NeighborhoodResult, what: str) -> NeighborhoodResult:
+    """The result, or CertificateError naming every failing fact."""
+    cert = result.certificate
+    if not cert.ok():
+        failing = [k for k, val in cert.to_dict().items() if val is False]
+        raise CertificateError(
+            f"{what} certificate failed: {', '.join(failing)}", result)
+    return result
+
+
 def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     """Greedy annulus-by-annulus disk cover of the obstacle set U's complement.
 
@@ -136,7 +145,7 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
         raise PreconditionError("need F inside U inside the region")
     obstacles = region.omega - U
     if obstacles.is_empty():
-        return DiskCover([], CellSet.empty(grid), {})
+        return DiskCover([], CellSet.empty(grid))
 
     d_f = distance_field(F).values
     d_bd = region.boundary_distance()
@@ -156,7 +165,6 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
 
     covered = np.zeros_like(obstacles.bits)
     disks: list[Disk] = []
-    per_annulus: dict[int, int] = {}
     for a_idx, ann in enumerate(annuli, start=1):
         todo = obstacles.bits & ann & ~covered
         while todo.any():
@@ -167,9 +175,8 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
             raster = rasterize_closed([Primitive.disk(cxy, r)], grid)
             covered |= raster.bits & region.omega.bits
             disks.append(Disk((i, j), cxy, r, a_idx))
-            per_annulus[a_idx] = per_annulus.get(a_idx, 0) + 1
             todo = obstacles.bits & ann & ~covered
-    cover = DiskCover(disks, CellSet(grid, covered), per_annulus)
+    cover = DiskCover(disks, CellSet(grid, covered))
     if not obstacles.issubset(cover.covered):
         raise BuildRefusalError("disk cover failed to cover the obstacle set")
     return cover
@@ -348,12 +355,7 @@ def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
     plan = escape_curves(cover, F, region, build_exhaustion(region, 3))
     v = (U - cover.covered) - plan.union
     cert, ncomp = _certify(v, F, U, region)
-    result = NeighborhoodResult(v, cover, plan, cert, ncomp)
-    if not cert.ok():
-        failing = [k for k, val in cert.to_dict().items() if val is False]
-        raise CertificateError(
-            f"neighborhood certificate failed: {', '.join(failing)}", result)
-    return result
+    return _checked(NeighborhoodResult(v, cover, plan, cert, ncomp), "neighborhood")
 
 
 @dataclass(eq=False)
@@ -425,25 +427,12 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     r2 = build_v(F2, CellSet(region.grid, g2 & U.bits), region)
 
     v = r1.v | r2.v
-    f_in_v = (F1 | F2).issubset(v)
-    v_in_u = v.issubset(U)
-    rep = compactified_complement_connected(v, region)
-    parts_disjoint = (r1.v & r2.v).is_empty()
-    part_sphere = (r1.certificate.sphere_connected,
-                   r2.certificate.sphere_connected)
-    cert = Certificate(f_in_v, v_in_u, rep.connected is True,
-                       sphere_complement_connected(v, region),
-                       parts_disjoint, part_sphere)
+    cert, ncomp = _certify(v, F1 | F2, U, region)
+    cert = replace(cert, parts_disjoint=(r1.v & r2.v).is_empty(),
+                   part_sphere_connected=(r1.certificate.sphere_connected,
+                                          r2.certificate.sphere_connected))
     cover = DiskCover(r1.cover.disks + r2.cover.disks,
-                      r1.cover.covered | r2.cover.covered,
-                      {**r1.cover.per_annulus,
-                       **{k: r1.cover.per_annulus.get(k, 0) + n
-                          for k, n in r2.cover.per_annulus.items()}})
+                      r1.cover.covered | r2.cover.covered)
     plan = EscapePlan(r1.plan.curves + r2.plan.curves,
                       r1.plan.union | r2.plan.union)
-    result = NeighborhoodResult(v, cover, plan, cert, rep.n_components)
-    if not cert.ok():
-        failing = [k for k, val in cert.to_dict().items() if val is False]
-        raise CertificateError(
-            f"combined certificate failed: {', '.join(failing)}", result)
-    return result
+    return _checked(NeighborhoodResult(v, cover, plan, cert, ncomp), "combined")

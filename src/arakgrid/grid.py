@@ -15,6 +15,7 @@ semantics (see :func:`rasterize_open_disk` / :func:`rasterize_open_rect`).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,17 @@ def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
     Windows of more than ``MAX_CELLS`` cells and numbers whose areas would
     overflow (16 v**2) are input errors, raised before anything is allocated.
     """
+    vals = []
     for name, v in (("xmin", xmin), ("ymin", ymin), ("xmax", xmax),
                     ("ymax", ymax), ("delta", delta)):
-        if not isinstance(v, (int, float)) or not math.isfinite(16.0 * v * v):
+        try:        # float() of an int past the float range raises
+            f = float(v) if isinstance(v, numbers.Real) else math.nan
+        except OverflowError:
+            f = math.inf
+        if not math.isfinite(16.0 * f * f):
             raise InputError(f"|{name}| must be finite and below 3.3e153, got {v!r}")
+        vals.append(f)
+    xmin, ymin, xmax, ymax, delta = vals
     if not xmin < xmax or not ymin < ymax:
         raise InputError("window must satisfy xmin < xmax and ymin < ymax")
     if delta <= 0:
@@ -118,8 +126,7 @@ def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
     if ncols * nrows > MAX_CELLS:
         raise InputError(f"window has {ncols} x {nrows} cells, more than the "
                          f"budget of {MAX_CELLS}")
-    return GridSpec(float(xmin), float(ymin), float(xmax), float(ymax),
-                    float(delta), max(ncols, 1), max(nrows, 1))
+    return GridSpec(xmin, ymin, xmax, ymax, delta, max(ncols, 1), max(nrows, 1))
 
 
 @dataclass(eq=False)
@@ -141,6 +148,9 @@ class CellSet:
     def from_cells(cls, grid: GridSpec, cells) -> "CellSet":
         out = cls.empty(grid)
         for i, j in cells:
+            if not (0 <= i < grid.ncols and 0 <= j < grid.nrows):
+                raise InputError(f"cell {(i, j)} lies outside the "
+                                 f"{grid.ncols} x {grid.nrows} grid")
             out.bits[j, i] = True
         return out
 
@@ -257,7 +267,6 @@ class ExitNote:
 
     edge: str                      # one of N, S, E, W
     cell: tuple[int, int]
-    direction: tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +515,7 @@ def ray_exit_notes(primitives, grid: GridSpec) -> list[ExitNote]:
             exit_pt = clipped[1]
             cell = grid.point_cell(*exit_pt)
             for edge in _exit_edges(grid, exit_pt):
-                notes.append(ExitNote(edge, cell, p.pts[1]))
+                notes.append(ExitNote(edge, cell))
     return notes
 
 

@@ -36,18 +36,11 @@ def _runs(bits: np.ndarray):
             yield j, int(i0), int(i1)
 
 
-def _rect(x, y, w, h, fill, opacity=None, extra=""):
+def _cells_svg(grid: GridSpec, bits: np.ndarray, fill: str, opacity=None) -> list[str]:
+    """One unit-height ``<rect>`` per run of cells; svg y grows downward."""
     op = f' fill-opacity="{opacity}"' if opacity is not None else ""
-    return f'<rect x="{x:.4f}" y="{y:.4f}" width="{w:.4f}" height="{h:.4f}" fill="{fill}"{op}{extra}/>'
-
-
-def _cells_svg(grid: GridSpec, bits: np.ndarray, fill: str, opacity=None,
-               extra="") -> list[str]:
-    out = []
-    for j, i0, i1 in _runs(bits):
-        y = grid.nrows - 1 - j          # svg y grows downward
-        out.append(_rect(i0, y, i1 - i0, 1, fill, opacity, extra))
-    return out
+    return [f'<rect x="{i0:.4f}" y="{grid.nrows - 1 - j:.4f}" width="{i1 - i0:.4f}" '
+            f'height="1.0000" fill="{fill}"{op}/>' for j, i0, i1 in _runs(bits)]
 
 
 def _rgb(name):

@@ -95,13 +95,11 @@ class Scene:
     def region(self, grid: GridSpec | None = None) -> RegionModel:
         g = grid or self.grid
         kind, *params = self.omega_decl
-        notes = []
-        for prims in self.sets.values():
-            notes.extend(ray_exit_notes(prims, g))
         extra = np.zeros((g.nrows, g.ncols), dtype=bool)
-        for note in notes:
-            i, j = note.cell
-            extra[j, i] = True
+        for prims in self.sets.values():
+            for note in ray_exit_notes(prims, g):
+                i, j = note.cell
+                extra[j, i] = True
         edges, simple = self.unbounded, True
         if kind == "plane":
             omega, edges = CellSet.full(g), ("all",)
@@ -115,8 +113,7 @@ class Scene:
         else:
             raise InputError(f"unknown region declaration {kind!r}")
         return custom_region(g, omega, unbounded_edges=edges,
-                             extra_unbounded=extra, simply_connected=simple,
-                             exit_notes=notes)
+                             extra_unbounded=extra, simply_connected=simple)
 
     def raster(self, name: str, grid: GridSpec | None = None) -> CellSet:
         g = grid or self.grid

@@ -24,9 +24,8 @@ from .errors import InputError, NotSimplyConnectedError, PreconditionError
 from .grid import (CellSet, GridSpec, Primitive, distance_field,
                    rasterize_closed, rasterize_open_disk, rasterize_open_rect)
 
-REACHES_ALPHA = "REACHES_ALPHA"
-ENCLOSED = "ENCLOSED"
-WINDOW_AMBIGUOUS = "WINDOW_AMBIGUOUS"
+# component statuses, the values of ``ComponentLabeling.alpha_reach``
+ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS = 0, 1, 2
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 EIGHT = np.ones((3, 3), dtype=bool)
@@ -73,7 +72,6 @@ class RegionModel:
     omega: CellSet
     alpha_border: np.ndarray
     simply_connected: bool = False
-    exit_notes: tuple = ()
     declared_edges: frozenset = frozenset()
     alpha_adjacent: np.ndarray = field(init=False)
     ambiguous_contact: np.ndarray = field(init=False)
@@ -147,15 +145,16 @@ def open_rect_region(grid: GridSpec, x1: float, y1: float,
 
 
 def custom_region(grid: GridSpec, omega: CellSet, *, unbounded_edges=(),
-                  extra_unbounded=None, simply_connected=False,
-                  exit_notes=()) -> RegionModel:
+                  extra_unbounded=None, simply_connected=False) -> RegionModel:
+    """The region continues past the ``unbounded_edges`` (N, S, E, W or
+    "all") and past the border cells flagged in ``extra_unbounded``."""
     alpha = edges_to_border(grid, unbounded_edges)
     if extra_unbounded is not None:
         alpha = alpha | extra_unbounded
     edges = frozenset(_EDGES) if "all" in unbounded_edges else \
         frozenset(e for e in unbounded_edges if e in _EDGES)
     return RegionModel(grid, omega, alpha, simply_connected=simply_connected,
-                       exit_notes=tuple(exit_notes), declared_edges=edges)
+                       declared_edges=edges)
 
 
 @dataclass(eq=False)
@@ -164,25 +163,20 @@ class ComponentLabeling:
 
     Labels are dense from 0 and deterministic: scanning row-major, the first
     cell of a new component gets the smallest unused label.  ``alpha_reach``
-    is present when a region was supplied at labeling time.
+    is present when a region was supplied at labeling time: one int8 status
+    per label, REACHES_ALPHA, WINDOW_AMBIGUOUS or ENCLOSED.
     """
 
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
     sizes: np.ndarray
-    alpha_reach: list[str] | None = None
+    alpha_reach: np.ndarray | None = None
 
-    def reach_mask(self, status: str) -> np.ndarray:
+    def reach_mask(self, status: int) -> np.ndarray:
         if self.alpha_reach is None:
             raise InputError("labeling carries no alpha classification")
         # one lookup per cell; the trailing False is what label -1 reads
-        hit = np.array([st == status for st in self.alpha_reach] + [False])
-        return hit[self.labels]
-
-    def labels_with(self, status: str) -> list[int]:
-        if self.alpha_reach is None:
-            return []
-        return [l for l, st in enumerate(self.alpha_reach) if st == status]
+        return np.append(self.alpha_reach == status, False)[self.labels]
 
 
 def label_components(domain: CellSet, connectivity: int,
@@ -192,11 +186,9 @@ def label_components(domain: CellSet, connectivity: int,
         raise InputError("connectivity must be 4 or 8")
     structure = FOUR if connectivity == 4 else EIGHT
     raw, n = ndimage.label(domain.bits, structure=structure)
-    if n == 0:
-        labels = np.full(domain.bits.shape, -1, dtype=np.int32)
-        return ComponentLabeling(labels, 0, np.zeros(0, dtype=np.int64),
-                                 None if region is None else [])
-
+    if n == 0:                      # raw is all 0: every label is -1
+        return ComponentLabeling(raw - 1, 0, np.zeros(0, dtype=np.int64),
+                                 None if region is None else np.zeros(0, np.int8))
     # enforce first-seen-row-major label order regardless of backend details
     flat = raw.ravel()
     first = np.full(n + 1, flat.size, dtype=np.int64)
@@ -215,23 +207,20 @@ def label_components(domain: CellSet, connectivity: int,
                                  minlength=n)
         amb_hits = np.bincount(labels[region.ambiguous_contact & domain.bits],
                                minlength=n)
-        alpha_reach = [
-            REACHES_ALPHA if alpha_hits[l] else
-            (WINDOW_AMBIGUOUS if amb_hits[l] else ENCLOSED)
-            for l in range(n)
-        ]
+        alpha_reach = np.where(alpha_hits > 0, REACHES_ALPHA, np.where(
+            amb_hits > 0, WINDOW_AMBIGUOUS, ENCLOSED)).astype(np.int8)
     return ComponentLabeling(labels, n, sizes, alpha_reach)
 
 
 @dataclass(eq=False)
 class HoleSet:
-    """Complement components conclusively trapped inside the region."""
+    """Complement components conclusively trapped inside the region, and the
+    window-ambiguous ones, as labels of one labeling of region - F.  Extents
+    of the union are derived by the callers that read them."""
 
     hole_labels: tuple[int, ...]
     union: CellSet
     count: int
-    max_abs: float                  # max |cell center| over the union
-    min_bd_dist: float              # inf when the window shows no boundary
     ambiguous_labels: tuple[int, ...]
     labeling: ComponentLabeling
 
@@ -249,19 +238,11 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
         raise PreconditionError("carrier set must lie inside the region")
     domain = region.omega - F
     lab = label_components(domain, 4, region)
-    hole_labels = tuple(lab.labels_with(ENCLOSED))
-    amb = tuple(lab.labels_with(WINDOW_AMBIGUOUS))
-    if hole_labels:
-        union_bits = lab.reach_mask(ENCLOSED)
-        union = CellSet(region.grid, union_bits)
-        max_abs = float(region.grid.center_abs()[union_bits].max())
-        min_bd = float(region.boundary_distance()[union_bits].min())
-    else:
-        union = CellSet.empty(region.grid)
-        max_abs = 0.0
-        min_bd = float("inf")
-    return HoleSet(hole_labels, union, len(hole_labels), max_abs, min_bd,
-                   amb, lab)
+    hole_labels = tuple(np.flatnonzero(lab.alpha_reach == ENCLOSED).tolist())
+    amb = tuple(np.flatnonzero(lab.alpha_reach == WINDOW_AMBIGUOUS).tolist())
+    union = CellSet(region.grid, lab.reach_mask(ENCLOSED)) if hole_labels \
+        else CellSet.empty(region.grid)
+    return HoleSet(hole_labels, union, len(hole_labels), amb, lab)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,18 @@ class TestBuildExhaustion:
         g = make_grid(0, 0, 4, 4, 1)
         with pytest.raises(PreconditionError):
             build_exhaustion(plane_region(g), 0)
+        with pytest.raises(PreconditionError):
+            build_exhaustion(plane_region(g))
+
+    def test_like_reuses_thresholds_on_another_window(self):
+        sc = _staircase_scene()
+        region = sc.region()
+        exh = build_exhaustion(region, 3)
+        assert build_exhaustion(region, like=exh) is exh
+        got = build_exhaustion(sc.region(sc.grid.with_ymax(12)), like=exh)
+        assert got is not exh and got.level_ids == exh.level_ids
+        assert (got.r_values, got.R_values, got.center, got.capped) == \
+            (exh.r_values, exh.R_values, exh.center, exh.capped)
 
 
 class TestHoleUnionExtent:

@@ -69,7 +69,14 @@ class TestDiskCover:
         obstacles = _points(g, [(0, 1), (1.2, 1.2), (-1.5, -1.5)])
         exh = build_exhaustion(region, 3)
         cover = disk_cover(F, region.omega - obstacles, region)
-        assert sum(cover.per_annulus.values()) == len(cover.disks)
+        # each disk sits in the first level holding its center, or in the
+        # residue past the last level; annuli are covered in order
+        for d in cover.disks:
+            i, j = d.center
+            assert d.annulus == next((k + 1 for k, K in enumerate(exh.levels)
+                                      if K.bits[j, i]), len(exh.levels) + 1)
+        annuli = [d.annulus for d in cover.disks]
+        assert annuli == sorted(annuli) and len(set(annuli)) > 1
 
 
 class TestEscapeCurves:

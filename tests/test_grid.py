@@ -41,6 +41,22 @@ class TestMakeGrid:
         with pytest.raises(InputError):
             make_grid(*bad)
 
+    @pytest.mark.parametrize("scalar", [np.int64, np.int32, np.float32,
+                                        np.float64])
+    def test_numpy_scalars_accepted(self, scalar):
+        g = make_grid(scalar(0), scalar(0), 4, scalar(4), scalar(1))
+        assert (g.ncols, g.nrows) == (4, 4)
+        assert all(type(v) is float for v in (g.xmin, g.ymin, g.xmax, g.delta))
+
+    @pytest.mark.parametrize("bad", ["0", None, 1j, np.complex128(1),
+                                     np.float32("nan"), np.float64("inf"),
+                                     10 ** 400, np.float64(4e153)],
+                             ids=["str", "none", "complex", "np-complex",
+                                  "nan32", "inf", "int-1e400", "4e153"])
+    def test_non_real_or_huge_rejected(self, bad):
+        with pytest.raises(InputError):
+            make_grid(bad, 0, 4, 4, 1)
+
     @pytest.mark.parametrize("delta", [1e-320, 1e-7])
     def test_cell_budget(self, delta):
         # 1e-320 overflows span / delta; 1e-7 asks for 1.6e15 cells.  Both
@@ -153,6 +169,13 @@ class TestCellSetAlgebra:
                                 dtype=bool).reshape(4, 4))
         assert ((a | b) - b).issubset(a)
         assert (a & a).same_cells(a)
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 3)])
+    def test_from_cells_rejects_cells_off_the_grid(self, cell):
+        # a 4-column, 3-row grid: (-1, 0) used to wrap onto (3, 0) silently
+        g = make_grid(0, 0, 4, 3, 1)
+        with pytest.raises(InputError, match=r"cell \(-?\d+, -?\d+\)"):
+            CellSet.from_cells(g, [(1, 1), cell])
 
     def test_min_cell_is_column_first(self):
         g = make_grid(0, 0, 4, 4, 1)

@@ -1,6 +1,7 @@
 import pytest
 
 from arakgrid import SceneParseError, parse_scene, print_scene, scenes_equivalent
+from arakgrid.grid import ray_exit_notes
 
 
 class TestParse:
@@ -27,8 +28,8 @@ class TestParse:
     def test_staircase_fixture_has_ray_exit(self):
         sc = parse_scene("grid -3 -3 3 8 0.03125\nomega plane\n"
                          "fixture intro_staircase\n")
-        region = sc.region()
-        assert any(n.edge == "N" for n in region.exit_notes)
+        notes = ray_exit_notes(sc.sets["F"], sc.grid)
+        assert any(n.edge == "N" for n in notes)
         assert "F" in sc.sets
 
     def test_errors_carry_line_numbers(self):

@@ -9,7 +9,7 @@ from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
 from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
-from oracles import flood_components, naive_holes
+from oracles import flood_components, naive_holes, naive_reach
 
 rng = np.random.default_rng(20250810)
 
@@ -38,6 +38,40 @@ class TestLabelComponents:
                 lab = label_components(CellSet(g, bits), conn)
                 want = flood_components(bits, conn)
                 assert np.array_equal(lab.labels, want)
+
+    @pytest.mark.parametrize("kind", ["open-rect", "punctured-disk", "custom"])
+    def test_alpha_reach_matches_naive(self, kind):
+        g = make_grid(0, 0, 16, 16, 1)
+        local = np.random.default_rng(20250811)
+        region = {
+            "open-rect": lambda: open_rect_region(g, 1, 1, 15, 15),
+            "punctured-disk": lambda: open_disk_region(g, 8, 8, 7,
+                                                       punctured=True),
+            # N and W are declared; S and E are undeclared window edges
+            "custom": lambda: custom_region(
+                g, CellSet(g, local.random((16, 16)) >= 0.15),
+                unbounded_edges=("N", "W")),
+        }[kind]()
+        codes = {"ENCLOSED": ENCLOSED, "REACHES_ALPHA": REACHES_ALPHA,
+                 "WINDOW_AMBIGUOUS": WINDOW_AMBIGUOUS}
+        seen = set()
+        for _ in range(100):
+            dom = CellSet(g, (local.random((16, 16)) < 0.55) & region.omega.bits)
+            lab = label_components(dom, 4, region)
+            assert lab.alpha_reach.dtype == np.int8
+            want = naive_reach(lab.labels, lab.n, region.omega.bits,
+                               region.alpha_border)
+            assert lab.alpha_reach.tolist() == [codes[st] for st in want]
+            seen.update(want)
+        # only the custom region touches undeclared window edges
+        assert {"ENCLOSED", "REACHES_ALPHA"} <= seen
+        assert ("WINDOW_AMBIGUOUS" in seen) == (kind == "custom")
+
+    def test_empty_domain_has_empty_alpha_reach(self):
+        g = make_grid(0, 0, 4, 4, 1)
+        lab = label_components(CellSet.empty(g), 4, plane_region(g))
+        assert lab.n == 0 and lab.alpha_reach.dtype == np.int8
+        assert lab.alpha_reach.shape == (0,) and (lab.labels == -1).all()
 
     def test_partition_properties(self):
         g = make_grid(0, 0, 12, 12, 1)
@@ -95,8 +129,8 @@ class TestHoles:
             F = CellSet(g, _random_bits((14, 14)) & region.omega.bits)
             hs = holes(F, region)
             lab = hs.labeling
-            n_alpha = len(lab.labels_with(REACHES_ALPHA))
-            n_amb = len(lab.labels_with(WINDOW_AMBIGUOUS))
+            n_alpha = int((lab.alpha_reach == REACHES_ALPHA).sum())
+            n_amb = int((lab.alpha_reach == WINDOW_AMBIGUOUS).sum())
             assert hs.count + n_alpha + n_amb == lab.n
 
     def test_matches_naive_on_random_scenes(self):
@@ -210,7 +244,7 @@ class TestAlphaMonotone:
             F_big = rasterize_closed([prim], big_grid)
             lab_small = label_components(small.omega - F_small, 4, small)
             lab_big = label_components(big.omega - F_big, 4, big)
-            for lbl in lab_small.labels_with(REACHES_ALPHA):
+            for lbl in np.flatnonzero(lab_small.alpha_reach == REACHES_ALPHA):
                 js, iis = np.nonzero(lab_small.labels == lbl)
                 big_lbl = lab_big.labels[js[0], iis[0]]
                 assert lab_big.alpha_reach[big_lbl] != ENCLOSED

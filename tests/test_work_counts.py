@@ -1,6 +1,6 @@
 """Work counts per CLI command: component labelings, region models,
-exhaustions, sphere-complement tests, boundary distance fields and exact
-distance (feature) transforms.
+exhaustions, sphere-complement tests, boundary distance fields, exact
+distance (feature) transforms and |cell center| fields.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -50,6 +50,8 @@ def install_counters(monkeypatch) -> Counter:
                         counting("boundary_fields", topology.distance_field))
     monkeypatch.setattr(grid.ndimage, "distance_transform_edt",
                         counting("edts", grid.ndimage.distance_transform_edt))
+    monkeypatch.setattr(grid.GridSpec, "center_abs",
+                        counting("center_abs", grid.GridSpec.center_abs))
     return counts
 
 
@@ -94,6 +96,23 @@ class TestLabelingsPerCommand:
         assert n["labelings"] <= 21
         assert n["exhaustions"] == 3
         assert n["regions"] == 3
+
+
+class TestHoleExtentsWhereRead:
+    """A hole union's |cell center| extent is derived only by the callers
+    that report it, not by every hole set."""
+
+    @pytest.mark.parametrize("argv, code, fields", [
+        # the exhaustion's outer radii; the refutation's holes are not measured
+        (["refute", "nested_rings.scene"], 1, 1),
+        (["render", "segment.scene", "--layers", "F,holes"], 0, 0),
+        (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0),
+    ], ids=["refute", "render-segment", "render-rings"])
+    def test_center_abs_fields(self, monkeypatch, tmp_path, argv, code, fields):
+        out = ["-o", str(tmp_path / "out.svg")] if argv[0] == "render" else []
+        got, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:], *out])
+        assert got == code
+        assert n["center_abs"] == fields
 
 
 class TestOneExhaustionPerRegion:
