@@ -16,6 +16,7 @@ semantics (see :func:`rasterize_open_disk` / :func:`rasterize_open_rect`).
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,9 @@ def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
             f = float(v) if isinstance(v, numbers.Real) else math.nan
         except OverflowError:
             f = math.inf
-        if not math.isfinite(16.0 * f * f):
-            raise InputError(f"|{name}| must be finite and below 3.3e153, got {v!r}")
+        if not math.isfinite(16.0 * f * f):     # shows f: repr() of a long int raises
+            raise InputError(f"|{name}| must be a finite real below 3.3e153, "
+                             f"got {type(v).__name__} {f}")
         vals.append(f)
     xmin, ymin, xmax, ymax, delta = vals
     if not xmin < xmax or not ymin < ymax:
@@ -147,7 +149,11 @@ class CellSet:
     @classmethod
     def from_cells(cls, grid: GridSpec, cells) -> "CellSet":
         out = cls.empty(grid)
-        for i, j in cells:
+        for cell in cells:
+            try:        # operator.index takes numpy ints, refuses 1.0 and "1"
+                i, j = map(operator.index, cell)
+            except (TypeError, ValueError):
+                raise InputError(f"cell {cell!r} is not a pair of integers") from None
             if not (0 <= i < grid.ncols and 0 <= j < grid.nrows):
                 raise InputError(f"cell {(i, j)} lies outside the "
                                  f"{grid.ncols} x {grid.nrows} grid")

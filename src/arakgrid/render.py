@@ -1,8 +1,9 @@
 """Deterministic SVG and PPM rendering of scenes and computed artifacts.
 
-Layers are drawn strictly in the order requested; cell layers are emitted as
-row-major runs so repeated renders are byte-identical.  SVG is meant for
-human inspection, PPM for pixel-exact comparisons.
+Layers are drawn strictly in the order requested, so repeated renders are
+byte-identical.  An SVG cell layer is one ``<rect>`` per row-major run of cells
+from one whole-array scan; PPM layers are painted by fancy indexing.  SVG is
+meant for human inspection, PPM for pixel-exact comparisons.
 """
 
 import numpy as np
@@ -13,77 +14,71 @@ from .grid import GridSpec
 LAYER_NAMES = ("F", "U", "V", "holes", "disks", "curves")
 
 # layer -> fill RGB (also used by the PPM raster)
-_COLORS = {
-    "omega": (232, 232, 240),
-    "F": (34, 34, 34),
-    "U": (208, 228, 208),
-    "V": (150, 190, 235),
-    "holes": (220, 120, 120),
-    "disks": (240, 170, 60),
-    "curves": (200, 40, 40),
-}
+_COLORS = {"omega": (232, 232, 240), "F": (34, 34, 34), "U": (208, 228, 208),
+           "V": (150, 190, 235), "holes": (220, 120, 120), "disks": (240, 170, 60),
+           "curves": (200, 40, 40)}
+_RGB = {name: "rgb(%d,%d,%d)" % rgb for name, rgb in _COLORS.items()}
+# cell layer -> fill attributes of its SVG rects
+_FILLS = {"omega": f'fill="{_RGB["omega"]}"', "F": f'fill="{_RGB["F"]}"',
+          "U": f'fill="{_RGB["U"]}" fill-opacity="0.6"',
+          "V": f'fill="{_RGB["V"]}" fill-opacity="0.5"', "holes": 'fill="url(#hatch)"'}
+
+
+class _Fixed4(dict):
+    """Coordinate -> ``f"{v:.4f}"``, formatted once per distinct value."""
+
+    def __missing__(self, v):
+        s = self[v] = f"{v:.4f}"
+        return s
 
 
 def _runs(bits: np.ndarray):
-    """Row-major maximal runs of set cells: (j, i0, i1_exclusive)."""
+    """Maximal runs of set cells as index arrays ``(j, i0, i1_exclusive)``.
+
+    Padded with a clear cell at both ends, each row changes alternately at a
+    run's start and end; one ``flatnonzero`` lists all in row-major order."""
     nrows, ncols = bits.shape
-    for j in range(nrows):
-        row = bits[j]
-        if not row.any():
-            continue
-        idx = np.flatnonzero(np.diff(np.concatenate(([False], row, [False]))))
-        for i0, i1 in zip(idx[::2], idx[1::2]):
-            yield j, int(i0), int(i1)
+    pad = np.zeros((nrows, ncols + 2), dtype=bool)
+    pad[:, 1:-1] = bits
+    j, i = np.divmod(np.flatnonzero(pad[:, 1:] != pad[:, :-1]), ncols + 1)
+    return j[::2], i[::2], i[1::2]
 
 
-def _cells_svg(grid: GridSpec, bits: np.ndarray, fill: str, opacity=None) -> list[str]:
+def _cells_svg(fmt: _Fixed4, bits: np.ndarray, fills: str) -> list[str]:
     """One unit-height ``<rect>`` per run of cells; svg y grows downward."""
-    op = f' fill-opacity="{opacity}"' if opacity is not None else ""
-    return [f'<rect x="{i0:.4f}" y="{grid.nrows - 1 - j:.4f}" width="{i1 - i0:.4f}" '
-            f'height="1.0000" fill="{fill}"{op}/>' for j, i0, i1 in _runs(bits)]
-
-
-def _rgb(name):
-    r, g, b = _COLORS[name]
-    return f"rgb({r},{g},{b})"
+    j, i0, i1 = _runs(bits)
+    cols = zip(i0.tolist(), (len(bits) - 1 - j).tolist(), (i1 - i0).tolist())
+    return [f'<rect x="{fmt[x]}" y="{fmt[y]}" width="{fmt[w]}" height="1.0000" '
+            f'{fills}/>' for x, y, w in cols]
 
 
 def render_svg(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> bytes:
     """layers: list of (name, payload); payload depends on the layer kind."""
-    w, h = grid.ncols, grid.nrows
+    w, h, fmt = grid.ncols, grid.nrows, _Fixed4()
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
         f'width="{4 * w}" height="{4 * h}">',
         '<defs><pattern id="hatch" width="1" height="1" patternUnits="userSpaceOnUse">'
-        f'<rect width="1" height="1" fill="{_rgb("holes")}" fill-opacity="0.35"/>'
-        f'<path d="M0,1 L1,0" stroke="{_rgb("holes")}" stroke-width="0.18"/>'
+        f'<rect width="1" height="1" fill="{_RGB["holes"]}" fill-opacity="0.35"/>'
+        f'<path d="M0,1 L1,0" stroke="{_RGB["holes"]}" stroke-width="0.18"/>'
         '</pattern></defs>',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
-    ]
-    parts.extend(_cells_svg(grid, region_bits, _rgb("omega")))
+        *_cells_svg(fmt, region_bits, _FILLS["omega"])]
     for name, payload in layers:
-        if name in ("F", "U", "V"):
-            op = 0.5 if name == "V" else (0.6 if name == "U" else None)
-            parts.extend(_cells_svg(grid, payload, _rgb(name), op))
-        elif name == "holes":
-            parts.extend(_cells_svg(grid, payload, "url(#hatch)"))
+        if name in ("F", "U", "V", "holes"):
+            parts.extend(_cells_svg(fmt, payload, _FILLS[name]))
         elif name == "disks":
             for (ci, cj), r in payload:
-                x, y = ci + 0.5, grid.nrows - 1 - cj + 0.5
-                rr = r / grid.delta
-                parts.append(
-                    f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{rr:.4f}" fill="none" '
-                    f'stroke="{_rgb("disks")}" stroke-width="0.3"/>')
-                parts.append(
-                    f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.25" fill="{_rgb("disks")}"/>')
+                x, y = fmt[ci + 0.5], fmt[h - 1 - cj + 0.5]
+                parts += [f'<circle cx="{x}" cy="{y}" r="{r / grid.delta:.4f}" '
+                          f'fill="none" stroke="{_RGB["disks"]}" stroke-width="0.3"/>',
+                          f'<circle cx="{x}" cy="{y}" r="0.25" fill="{_RGB["disks"]}"/>']
         elif name == "curves":
             for path in payload:
-                pts = " ".join(f"{i + 0.5:.4f},{grid.nrows - 1 - j + 0.5:.4f}"
-                               for i, j in path)
-                parts.append(
-                    f'<polyline points="{pts}" fill="none" '
-                    f'stroke="{_rgb("curves")}" stroke-width="0.4"/>')
+                pts = " ".join(f"{fmt[i + 0.5]},{fmt[h - 1 - j + 0.5]}" for i, j in path)
+                parts.append(f'<polyline points="{pts}" fill="none" '
+                             f'stroke="{_RGB["curves"]}" stroke-width="0.4"/>')
         else:
             raise InputError(f"unknown render layer {name!r}")
     parts.append("</svg>")
@@ -97,13 +92,12 @@ def render_ppm(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> 
     for name, payload in layers:
         if name in ("F", "U", "V", "holes"):
             img[payload] = _COLORS[name]
-        elif name == "disks":
-            for (ci, cj), _r in payload:
-                img[cj, ci] = _COLORS["disks"]
-        elif name == "curves":
-            for path in payload:
-                for i, j in path:
-                    img[j, i] = _COLORS["curves"]
+        elif name in ("disks", "curves"):
+            cells = ([c for c, _r in payload] if name == "disks"
+                     else [c for path in payload for c in path])
+            if cells:
+                i, j = np.array(cells).T
+                img[j, i] = _COLORS[name]
         else:
             raise InputError(f"unknown render layer {name!r}")
     img = img[::-1]                     # y grows upward in the plane

@@ -277,3 +277,59 @@ def bfs_unwrap(v_bits: np.ndarray, ext_values: np.ndarray,
                 queue.append((ni, nj))
         remaining &= ~visited
     return vals
+
+
+def row_runs(bits: np.ndarray) -> list[tuple[int, int, int]]:
+    """Maximal runs of set cells, one grid row at a time: (j, i0, i1_exclusive)
+    in row-major order; the twin of ``render._runs``."""
+    runs = []
+    for j in range(bits.shape[0]):
+        row = bits[j]
+        if not row.any():
+            continue
+        idx = np.flatnonzero(np.diff(np.concatenate(([False], row, [False]))))
+        runs += [(j, int(i0), int(i1)) for i0, i1 in zip(idx[::2], idx[1::2])]
+    return runs
+
+
+def svg_rects(bits: np.ndarray, fill: str, opacity=None) -> list[str]:
+    """One ``<rect>`` per ``row_runs`` run, every number formatted on its own."""
+    op = f' fill-opacity="{opacity}"' if opacity is not None else ""
+    return [f'<rect x="{i0:.4f}" y="{bits.shape[0] - 1 - j:.4f}" '
+            f'width="{i1 - i0:.4f}" height="1.0000" fill="{fill}"{op}/>'
+            for j, i0, i1 in row_runs(bits)]
+
+
+def svg_disks(nrows: int, delta: float, disks, rgb: str) -> list[str]:
+    """An outline and a dot per ``((i, j), radius)`` disk."""
+    out = []
+    for (ci, cj), r in disks:
+        x, y = ci + 0.5, nrows - 1 - cj + 0.5
+        out.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="{r / delta:.4f}" '
+                   f'fill="none" stroke="{rgb}" stroke-width="0.3"/>')
+        out.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.25" fill="{rgb}"/>')
+    return out
+
+
+def svg_polylines(nrows: int, paths, rgb: str) -> list[str]:
+    """A polyline through the centers of each path's cells."""
+    return [f'<polyline points="'
+            + " ".join(f"{i + 0.5:.4f},{nrows - 1 - j + 0.5:.4f}" for i, j in path)
+            + f'" fill="none" stroke="{rgb}" stroke-width="0.4"/>' for path in paths]
+
+
+def ppm_pixels(shape, layers, colors: dict) -> np.ndarray:
+    """The unscaled PPM raster, painted one cell at a time in layer order,
+    row 0 at the top (the plane's top row of cells)."""
+    nrows, ncols = shape
+    img = np.full((nrows, ncols, 3), 255, dtype=np.uint8)
+    for name, payload in layers:
+        if name in ("disks", "curves"):
+            cells = ([c for c, _r in payload] if name == "disks"
+                     else [c for path in payload for c in path])
+        else:
+            cells = [(i, j) for j in range(nrows) for i in range(ncols)
+                     if payload[j, i]]
+        for i, j in cells:
+            img[nrows - 1 - j, i] = colors[name]
+    return img

@@ -56,6 +56,9 @@ class TestMakeGrid:
     def test_non_real_or_huge_rejected(self, bad):
         with pytest.raises(InputError):
             make_grid(bad, 0, 4, 4, 1)
+        # repr() of an int over 4,300 digits raises; the message shows type and float
+        with pytest.raises(InputError, match="got int inf"):
+            make_grid(10 ** 5000, 0, 1, 1, 1)
 
     @pytest.mark.parametrize("delta", [1e-320, 1e-7])
     def test_cell_budget(self, delta):
@@ -176,6 +179,16 @@ class TestCellSetAlgebra:
         g = make_grid(0, 0, 4, 3, 1)
         with pytest.raises(InputError, match=r"cell \(-?\d+, -?\d+\)"):
             CellSet.from_cells(g, [(1, 1), cell])
+
+    @pytest.mark.parametrize("cell", [(1.0, 2), (np.float64(1), 2), ("1", 2),
+                                      (1, 2, 3), 5])
+    def test_from_cells_rejects_cells_not_integer_pairs(self, cell):
+        # (1.0, 2) passed the bounds check, then numpy raised a bare IndexError
+        g = make_grid(0, 0, 4, 4, 1)
+        with pytest.raises(InputError, match="is not a pair of integers"):
+            CellSet.from_cells(g, [(1, 1), cell])
+        s = CellSet.from_cells(g, [(np.int64(1), np.int32(2))])
+        assert s.bits[2, 1] and s.count() == 1
 
     def test_min_cell_is_column_first(self):
         g = make_grid(0, 0, 4, 4, 1)
