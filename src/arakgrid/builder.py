@@ -182,37 +182,26 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     return cover
 
 
-def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
-    """Multi-source 4-connected BFS over the domain, one layer at a time.
-
-    Yields ``(cells, parents)`` as flat indices in FIFO queue order: the
-    seeds first (parents -1), then per layer each cell with the first queued
-    cell of the previous layer that reaches it along ``_STEPS``.  A padded
-    copy keeps steps from wrapping rows; O(cells) in total.
-    """
+def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Escape routing's 4-connected BFS distances to the targets in the domain, or -1
+    (twin: ``oracles.bfs_distances``).  Distances need no queue order, so each layer
+    steps one direction at a time and claims its cells before the next: no sort."""
     width = domain.shape[1] + 2
     free = np.pad(domain, 1).ravel()                  # in domain, unvisited
-    frontier = np.flatnonzero(np.pad(seeds & domain, 1))
-    parents = np.full(frontier.size, -1)
-    steps = np.array([di + dj * width for di, dj in _STEPS])
+    frontier = np.flatnonzero(np.pad(targets & domain, 1))
+    free[frontier] = False
+    dist = np.full(free.size, -1, dtype=np.int32)
+    steps = [di + dj * width for di, dj in _STEPS]
+    d = 0
     while frontier.size:
-        free[frontier] = False
-        cells = frontier - 2 * (frontier // width) - (width - 1)   # unpadded
-        yield cells, parents
-        nbrs = (frontier[:, None] + steps).ravel()
-        hit = np.flatnonzero(free[nbrs])
-        # first occurrence of each new cell, back in queue order
-        first = hit[np.sort(np.unique(nbrs[hit], return_index=True)[1])]
-        parents = cells[first // steps.size]
-        frontier = nbrs[first]
-
-
-def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """4-connected BFS distances to the target cells, or -1."""
-    dist = np.full(domain.size, -1, dtype=np.int32)
-    for d, (cells, _) in enumerate(_bfs_layers(domain, targets)):
-        dist[cells] = d
-    return dist.reshape(domain.shape)
+        dist[frontier] = d
+        layer = []
+        for step in steps:
+            nbrs = frontier + step
+            layer.append(nbrs[free[nbrs]])
+            free[layer[-1]] = False
+        frontier, d = np.concatenate(layer), d + 1
+    return dist.reshape(-1, width)[1:-1, 1:-1]
 
 
 def _walk_down(start: tuple[int, int],

@@ -154,9 +154,9 @@ class CellSet:
                 i, j = map(operator.index, cell)
             except (TypeError, ValueError):
                 raise InputError(f"cell {cell!r} is not a pair of integers") from None
-            if not (0 <= i < grid.ncols and 0 <= j < grid.nrows):
-                raise InputError(f"cell {(i, j)} lies outside the "
-                                 f"{grid.ncols} x {grid.nrows} grid")
+            if not (0 <= i < grid.ncols and 0 <= j < grid.nrows):   # no str() of huge ints
+                raise InputError(f"cell {(i, j) if abs(i) + abs(j) < 1 << 64 else '(huge)'}"
+                                 f" lies outside the {grid.ncols} x {grid.nrows} grid")
             out.bits[j, i] = True
         return out
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import NeighborhoodResult, _bfs_layers, build_v
+from .builder import _STEPS, NeighborhoodResult, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
 from .grid import CellSet, nearest_source_indices
@@ -69,6 +69,29 @@ class LogLiftResult:
     neighborhood: NeighborhoodResult
     residual_max: float             # max |exp(g) - f| over the carrier
     imag_jump_max: float            # max adjacent-cell imaginary jump on F
+
+
+def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
+    """The phase unwrap's 4-connected BFS tree (twin: ``oracles.bfs_unwrap``).
+    Yields ``(cells, parents)`` as flat indices in FIFO queue order: the
+    seeds first (parents -1), then per layer each cell with the first queued
+    cell of the previous layer that reaches it along ``_STEPS``.  The unwrap's
+    bit-for-bit sums rest on this rule, at one sort per layer.  O(cells)."""
+    width = domain.shape[1] + 2
+    free = np.pad(domain, 1).ravel()                  # in domain, unvisited
+    frontier = np.flatnonzero(np.pad(seeds & domain, 1))
+    parents = np.full(frontier.size, -1)
+    steps = np.array([di + dj * width for di, dj in _STEPS])
+    while frontier.size:
+        free[frontier] = False
+        cells = frontier - 2 * (frontier // width) - (width - 1)   # unpadded
+        yield cells, parents
+        nbrs = (frontier[:, None] + steps).ravel()
+        hit = np.flatnonzero(free[nbrs])
+        # first occurrence of each new cell, back in queue order
+        first = hit[np.sort(np.unique(nbrs[hit], return_index=True)[1])]
+        parents = cells[first // steps.size]
+        frontier = nbrs[first]
 
 
 def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunction:

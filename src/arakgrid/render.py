@@ -52,6 +52,16 @@ def _cells_svg(fmt: _Fixed4, bits: np.ndarray, fills: str) -> list[str]:
             f'{fills}/>' for x, y, w in cols]
 
 
+def _mark_cells(grid: GridSpec, name: str, payload) -> np.ndarray:
+    """A layer's disk centres or curve cells as (i, j) rows, all on the grid."""
+    ij = np.array([c for c, _r in payload] if name == "disks" else
+                  [c for path in payload for c in path], dtype=np.int64).reshape(-1, 2)
+    off = ((ij < 0) | (ij >= (grid.ncols, grid.nrows))).any(axis=1)
+    if off.any():
+        raise InputError(f"{name} cell {tuple(ij[off][0].tolist())} is off the grid")
+    return ij
+
+
 def render_svg(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> bytes:
     """layers: list of (name, payload); payload depends on the layer kind."""
     w, h, fmt = grid.ncols, grid.nrows, _Fixed4()
@@ -69,12 +79,14 @@ def render_svg(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> 
         if name in ("F", "U", "V", "holes"):
             parts.extend(_cells_svg(fmt, payload, _FILLS[name]))
         elif name == "disks":
+            _mark_cells(grid, name, payload)
             for (ci, cj), r in payload:
                 x, y = fmt[ci + 0.5], fmt[h - 1 - cj + 0.5]
                 parts += [f'<circle cx="{x}" cy="{y}" r="{r / grid.delta:.4f}" '
                           f'fill="none" stroke="{_RGB["disks"]}" stroke-width="0.3"/>',
                           f'<circle cx="{x}" cy="{y}" r="0.25" fill="{_RGB["disks"]}"/>']
         elif name == "curves":
+            _mark_cells(grid, name, payload)
             for path in payload:
                 pts = " ".join(f"{fmt[i + 0.5]},{fmt[h - 1 - j + 0.5]}" for i, j in path)
                 parts.append(f'<polyline points="{pts}" fill="none" '
@@ -93,11 +105,8 @@ def render_ppm(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> 
         if name in ("F", "U", "V", "holes"):
             img[payload] = _COLORS[name]
         elif name in ("disks", "curves"):
-            cells = ([c for c, _r in payload] if name == "disks"
-                     else [c for path in payload for c in path])
-            if cells:
-                i, j = np.array(cells).T
-                img[j, i] = _COLORS[name]
+            i, j = _mark_cells(grid, name, payload).T
+            img[j, i] = _COLORS[name]
         else:
             raise InputError(f"unknown render layer {name!r}")
     img = img[::-1]                     # y grows upward in the plane

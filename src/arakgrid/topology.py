@@ -185,19 +185,17 @@ def label_components(domain: CellSet, connectivity: int,
     if connectivity not in (4, 8):
         raise InputError("connectivity must be 4 or 8")
     structure = FOUR if connectivity == 4 else EIGHT
-    raw, n = ndimage.label(domain.bits, structure=structure)
-    if n == 0:                      # raw is all 0: every label is -1
-        return ComponentLabeling(raw - 1, 0, np.zeros(0, dtype=np.int64),
+    labels, n = ndimage.label(domain.bits, structure=structure)
+    if n == 0:                      # all 0: every label is -1
+        return ComponentLabeling(labels - 1, 0, np.zeros(0, dtype=np.int64),
                                  None if region is None else np.zeros(0, np.int8))
-    # enforce first-seen-row-major label order regardless of backend details
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int64))
-    order = np.argsort(first[1:], kind="stable")
-    mapping = np.empty(n + 1, dtype=np.int32)
-    mapping[0] = 0
-    mapping[order + 1] = np.arange(1, n + 1, dtype=np.int32)
-    labels = mapping[raw].astype(np.int32) - 1
+    # scipy's order is first-seen row-major, undocumented: check it at run heads
+    flat = labels.ravel()
+    heads = np.append(flat[0], flat[1:][flat[1:] != flat[:-1]])
+    if heads[0] > 1 or np.diff(np.maximum.accumulate(heads)).max(initial=0) > 1:
+        first = np.unique(flat, return_index=True)[1][-n:]   # labels 1..n
+        labels = np.append(0, np.argsort(np.argsort(first)) + 1).astype(np.int32)[labels]
+    labels -= 1
 
     sizes = np.bincount(labels[labels >= 0], minlength=n).astype(np.int64)
 

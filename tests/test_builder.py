@@ -170,6 +170,24 @@ def _blocked_middle(nrows, ncols):
     return d
 
 
+def _serpentine(nrows, ncols):
+    """A one-cell corridor snaking row by row: BFS depth far above the side."""
+    d = np.zeros((nrows, ncols), dtype=bool)
+    d[::2] = True
+    d[1::4, -1] = d[3::4, 0] = True
+    return d
+
+
+def _around_centre(k):
+    """The first k of the centre's four neighbours on a 7x7 grid: on a free
+    grid the centre is one new cell of layer 1 reached from all k targets,
+    and a corner between two targets is reached from both."""
+    t = np.zeros((7, 7), dtype=bool)
+    for j, i in ((3, 2), (2, 3), (3, 4), (4, 3))[:k]:
+        t[j, i] = True
+    return t
+
+
 class TestWaveDistances:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.data())
@@ -192,9 +210,15 @@ class TestWaveDistances:
         (np.ones((6, 8), dtype=bool), _corner(6, 8)),
         (_checkerboard(6, 8), _corner(6, 8)),
         (_checkerboard(6, 8), np.ones((6, 8), dtype=bool)),
+        (_serpentine(9, 11), _corner(9, 11)),
+        (np.ones((7, 7), dtype=bool), _around_centre(4)),
+        (np.ones((7, 7), dtype=bool), _around_centre(3)),
+        (np.ones((7, 7), dtype=bool), _around_centre(2)),
+        (_serpentine(9, 11), ~_serpentine(9, 11)),
     ], ids=["no-targets", "targets-outside", "checkerboard-outside",
             "row", "column", "single-cell", "free", "checkerboard",
-            "checkerboard-all"])
+            "checkerboard-all", "serpentine", "reached-from-4",
+            "reached-from-3", "reached-from-2", "targets-beside-serpentine"])
     def test_edge_cases_match_oracle(self, domain, targets):
         got = _wave_distances(domain, targets)
         assert got.dtype == np.int32

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -574,3 +575,17 @@ class TestRender:
              str(tmp_path / "r.svg"), "--layers", "F,V"])
         _, after, _ = run_json(["check", scene("segment.scene")])
         assert before == after
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    """Importing ``scipy.sparse`` (csgraph included) lengthens every start;
+    nothing on the CLI's import path may pull it in."""
+    import arakgrid
+    src = os.path.dirname(os.path.dirname(arakgrid.__file__))
+    code = ("import sys, arakgrid.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -121,3 +121,14 @@ class TestRenderEdges:
         f = np.eye(4, 6, dtype=bool)
         assert (render(grid, region, [("F", f), (name, [])])
                 == render(grid, region, [("F", f)]))
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (6, 0), (0, 4)])
+    @pytest.mark.parametrize("name", ["disks", "curves"])
+    def test_mark_off_the_grid_rejected(self, render, name, cell):
+        # ncols 6, nrows 4: (-1, 0) painted (5, 0) and (6, 0) raised IndexError
+        grid = _grid(4, 6)
+        payload = ([((1, 1), 0.5), (cell, 0.5)] if name == "disks"
+                   else [[(1, 1), (1, 2)], [(0, 0), cell]])
+        with pytest.raises(InputError,
+                           match=rf"{name} cell \({cell[0]}, {cell[1]}\) is off the grid"):
+            render(grid, np.ones((4, 6), dtype=bool), [(name, payload)])

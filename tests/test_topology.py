@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
                       Primitive, compactified_complement_connected, holes,
                       label_components, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
                       sphere_complement_connected)
+from arakgrid import topology
 from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
@@ -81,6 +84,124 @@ class TestLabelComponents:
         assert lab.sizes.sum() == bits.sum()
         for lbl in range(lab.n):
             assert lab.sizes[lbl] == (lab.labels == lbl).sum()
+
+
+def _comb(nrows, ncols, gap):
+    """Teeth every ``gap`` columns joined by a spine on the last row: the
+    teeth look separate until the row-major scan reaches the spine."""
+    m = np.zeros((nrows, ncols), dtype=bool)
+    m[:, ::gap] = True
+    m[-1] = True
+    return m
+
+
+def _nested_us(nrows, ncols):
+    """Concentric U shapes open at row 0, each arm pair merging only on its
+    own bottom row; the scan meets left arms, then right arms innermost first."""
+    m = np.zeros((nrows, ncols), dtype=bool)
+    for k in range(0, min(nrows, (ncols + 1) // 2), 2):
+        m[:nrows - k, k] = m[:nrows - k, ncols - 1 - k] = True
+        m[nrows - 1 - k, k:ncols - k] = True
+    return m
+
+
+def _spiral(nrows, ncols):
+    """A one-cell wall spiralling inward with one-cell corridors between turns."""
+    m = np.zeros((nrows, ncols), dtype=bool)
+    j = i = d = 0
+    m[0, 0] = True
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    inside = lambda j, i: 0 <= j < nrows and 0 <= i < ncols
+    for _ in range(4 * nrows * ncols):
+        dj, di = steps[d % 4]
+        nj, ni = j + dj, i + di
+        if inside(nj, ni) and not m[nj, ni] and \
+                not (inside(nj + dj, ni + di) and m[nj + dj, ni + di]):
+            j, i = nj, ni
+            m[j, i] = True
+        else:
+            d += 1
+    return m
+
+
+@st.composite
+def structured_masks(draw):
+    """Combs, spirals and nested U shapes of sides 1-40, flipped, transposed,
+    inverted or cut at a few cells so that components merge late."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    kind = draw(st.sampled_from(["comb", "spiral", "us"]))
+    if kind == "comb":
+        bits = _comb(*shape, draw(st.integers(2, 5)))
+    else:
+        bits = _spiral(*shape) if kind == "spiral" else _nested_us(*shape)
+    if draw(st.booleans()):
+        bits = bits[::-1]
+    if draw(st.booleans()):
+        bits = bits[:, ::-1]
+    if draw(st.booleans()):
+        bits = bits.T
+    if draw(st.booleans()):
+        bits = ~bits
+    bits = bits.copy()
+    cells = st.tuples(st.integers(0, bits.shape[0] - 1),
+                      st.integers(0, bits.shape[1] - 1))
+    for j, i in draw(st.lists(cells, max_size=4)):
+        bits[j, i] = False
+    return bits
+
+
+class TestLabelOrder:
+    """scipy's numbering is accepted only after the O(N) order check; the
+    relabel fallback must give the same labeling when the check fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_masks(), st.sampled_from([4, 8]))
+    @example(_comb(1, 40, 2), 4)
+    @example(_comb(40, 1, 2), 4)
+    @example(np.array([[True, False, True, False, True]]), 8)
+    @example(np.array([[True], [False], [True], [True]]), 8)
+    @example(_nested_us(12, 23), 4)
+    @example(_spiral(17, 19), 8)
+    def test_structured_masks_match_flood_fill(self, bits, conn):
+        g = make_grid(0, 0, bits.shape[1], bits.shape[0], 1)
+        lab = label_components(CellSet(g, bits), conn)
+        assert lab.labels.dtype == np.int32
+        assert np.array_equal(lab.labels, flood_components(bits, conn))
+
+    @pytest.mark.parametrize("permute", ["reverse", "rotate", "random"])
+    @pytest.mark.parametrize("conn", [4, 8])
+    def test_relabel_fallback_restores_row_major_order(self, monkeypatch,
+                                                       permute, conn):
+        g = make_grid(0, 0, 16, 16, 1)
+        region = custom_region(g, CellSet(g, _nested_us(16, 16) | ~_comb(16, 16, 3)),
+                               unbounded_edges=("N", "W"))
+        local = np.random.default_rng(20250812)
+        domains = [_nested_us(16, 16), _comb(16, 16, 3)[::-1].copy()] + \
+            [local.random((16, 16)) < 0.45 for _ in range(20)]
+        label = topology.ndimage.label
+        wants = [label_components(CellSet(g, d & region.omega.bits), conn, region)
+                 for d in domains]
+        calls = []
+
+        def permuted_label(bits, structure):
+            raw, n = label(bits, structure=structure)
+            perm = {"reverse": np.arange(n, 0, -1),
+                    "rotate": np.roll(np.arange(1, n + 1), 1),
+                    "random": local.permutation(n) + 1}[permute]
+            calls.append(n)
+            return np.concatenate([[0], perm]).astype(raw.dtype)[raw], n
+
+        monkeypatch.setattr(topology.ndimage, "label", permuted_label)
+        for d, want in zip(domains, wants):
+            bits = d & region.omega.bits
+            got = label_components(CellSet(g, bits), conn, region)
+            assert got.labels.dtype == np.int32
+            assert np.array_equal(got.labels, flood_components(bits, conn))
+            assert got.n == want.n
+            assert np.array_equal(got.sizes, want.sizes)
+            assert np.array_equal(got.alpha_reach, want.alpha_reach)
+        # the permutations moved labels, so the fallback really ran
+        assert len(calls) == len(domains) and max(calls) >= 2
 
 
 def _ring3(grid):
