@@ -27,8 +27,8 @@ field = distance_field(sources)
 print("distance from cell (3,2) to nearest source:", field.at(3, 2))
 print("max distance anywhere:", float(np.max(field.values)))
 
-# Rays are clipped to the window; the exit is recorded for the region model.
-from arakgrid.grid import ray_exit_notes
+# Rays are clipped to the window; the exit cell is where the region model
+# lets the region continue outward.
+from arakgrid.grid import ray_exit_cells
 
-notes = ray_exit_notes([Primitive.ray((0, 0), (0, 1))], grid)
-print("ray exit:", notes[0].edge, "at cell", notes[0].cell)
+print("ray exit cell:", ray_exit_cells([Primitive.ray((0, 0), (0, 1))], grid)[0])

@@ -377,7 +377,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
         })
         divergent = divergent or level_divergent
 
-    if divergent and len(per_window) >= 3:
+    if divergent:
         lvl = next(r["level"] for r in growth_rows if r["divergent"])
         return ArakelianVerdict(EVIDENCE_DIVERGENT, level=lvl,
                                 growth=growth_rows, extents=per_window,

@@ -321,7 +321,7 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
 
         path = [disk.center]
         for st in stages:
-            path.extend(st.path[1:] if st.path[0] == path[-1] else st.path)
+            path.extend(st.path[1:])        # each stage starts where the last ended
         for ci, cj in path:
             union[cj, ci] = True
         curves.append(EscapeCurve(disk.center, path, stages))

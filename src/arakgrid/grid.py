@@ -153,7 +153,11 @@ class CellSet:
             try:        # operator.index takes numpy ints, refuses 1.0 and "1"
                 i, j = map(operator.index, cell)
             except (TypeError, ValueError):
-                raise InputError(f"cell {cell!r} is not a pair of integers") from None
+                try:
+                    shown = repr(cell)
+                except ValueError:      # holds an int too long for str()
+                    shown = "(huge)"
+                raise InputError(f"cell {shown} is not a pair of integers") from None
             if not (0 <= i < grid.ncols and 0 <= j < grid.nrows):   # no str() of huge ints
                 raise InputError(f"cell {(i, j) if abs(i) + abs(j) < 1 << 64 else '(huge)'}"
                                  f" lies outside the {grid.ncols} x {grid.nrows} grid")
@@ -267,14 +271,6 @@ class Primitive:
         return Primitive("bracket", (), 0.0, int(n))
 
 
-@dataclass(frozen=True)
-class ExitNote:
-    """Records where an unbounded carrier leaves the window."""
-
-    edge: str                      # one of N, S, E, W
-    cell: tuple[int, int]
-
-
 # ---------------------------------------------------------------------------
 # rasterization internals
 
@@ -386,20 +382,6 @@ def clip_ray(origin, direction, grid):
     return p1, p2
 
 
-def _exit_edges(grid, p):
-    tol = 1e-9 * (1.0 + abs(grid.xmax) + abs(grid.ymax))
-    edges = []
-    if abs(p[1] - grid.ymax) <= tol:
-        edges.append("N")
-    if abs(p[1] - grid.ymin) <= tol:
-        edges.append("S")
-    if abs(p[0] - grid.xmax) <= tol:
-        edges.append("E")
-    if abs(p[0] - grid.xmin) <= tol:
-        edges.append("W")
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # grid-adaptive curve fixtures
 #
@@ -508,21 +490,15 @@ def rasterize_closed(primitives, grid: GridSpec) -> CellSet:
     return CellSet(grid, out)
 
 
-def ray_exit_notes(primitives, grid: GridSpec) -> list[ExitNote]:
-    """Exit annotations for every unbounded carrier clipped by the window."""
-    notes = []
+def ray_exit_cells(primitives, grid: GridSpec) -> list[tuple[int, int]]:
+    """The cell where each ray that meets the window leaves it, in order."""
+    cells = []
     for prim in primitives:
         for p in _expand(prim, grid):
-            if p.kind != "ray":
-                continue
-            clipped = clip_ray(p.pts[0], p.pts[1], grid)
-            if clipped is None:
-                continue
-            exit_pt = clipped[1]
-            cell = grid.point_cell(*exit_pt)
-            for edge in _exit_edges(grid, exit_pt):
-                notes.append(ExitNote(edge, cell))
-    return notes
+            clipped = clip_ray(*p.pts, grid) if p.kind == "ray" else None
+            if clipped is not None:
+                cells.append(grid.point_cell(*clipped[1]))
+    return cells
 
 
 def rasterize_open_disk(grid: GridSpec, cx: float, cy: float, r: float) -> CellSet:

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InputError, SceneParseError
 from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, make_grid,
                    rasterize_closed, rasterize_open_disk, rasterize_open_rect,
-                   ray_exit_notes)
+                   ray_exit_cells)
 from .topology import RegionModel, custom_region
 
 _EDGE_NAMES = ("N", "S", "E", "W", "all")
@@ -97,8 +97,7 @@ class Scene:
         kind, *params = self.omega_decl
         extra = np.zeros((g.nrows, g.ncols), dtype=bool)
         for prims in self.sets.values():
-            for note in ray_exit_notes(prims, g):
-                i, j = note.cell
+            for i, j in ray_exit_cells(prims, g):
                 extra[j, i] = True
         edges, simple = self.unbounded, True
         if kind == "plane":
@@ -215,7 +214,7 @@ def parse_scene(text: str) -> Scene:
     unbounded: list[str] = []
     sets: dict[str, list[Primitive]] = {}
     fns: dict[str, FnSpec] = {}
-    fixtures: list[tuple] = []
+    fixtures: list[tuple] = []        # (fixture, line number)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -260,7 +259,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneParseError(lineno, "set expects a name and a primitive")
             sets.setdefault(parts[1], []).append(_parse_primitive(parts[2:], lineno))
         elif key == "fixture":
-            fixtures.append(_parse_fixture(parts[1:], lineno))
+            fixtures.append((_parse_fixture(parts[1:], lineno), lineno))
         elif key == "fn":
             if len(parts) != 3:
                 raise SceneParseError(lineno, "fn expects a set name and a builtin")
@@ -271,8 +270,8 @@ def parse_scene(text: str) -> Scene:
     if grid is None:
         raise SceneParseError(0, "scene has no grid declaration")
 
-    for fx in fixtures:
-        omega = _expand_fixture(fx, grid, sets, omega)
+    for fx, lineno in fixtures:
+        omega = _expand_fixture(fx, lineno, grid, sets, omega)
     if omega is None:
         raise SceneParseError(0, "scene has no omega declaration")
     return Scene(grid, omega, tuple(unbounded), sets, fns)
@@ -304,15 +303,15 @@ def _parse_fixture(args, lineno) -> tuple:
     raise SceneParseError(lineno, f"unknown fixture {name!r}")
 
 
-def _expand_fixture(fx, grid, sets, omega):
+def _expand_fixture(fx, lineno, grid, sets, omega):
     """Expand a fixture into named sets (and possibly the omega declaration)."""
     if fx[0] == "intro_staircase":
         sets.setdefault("F", []).append(Primitive.staircase())
         return omega
     if fx[0] == "ex_2_10":
         if omega is not None:
-            raise SceneParseError(0, "fixture ex_2_10 sets omega; remove the "
-                                     "explicit omega declaration")
+            raise SceneParseError(lineno, "fixture ex_2_10 sets omega; remove "
+                                          "the explicit omega declaration")
         _, r1, r2 = fx
         sets.setdefault("F1", []).append(Primitive.circle((0.0, 0.0), r1))
         sets.setdefault("F2", []).append(Primitive.circle((0.0, 0.0), r2))

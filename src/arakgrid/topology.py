@@ -8,14 +8,14 @@ digital duality that keeps one-cell-thick curves separating.
 
 The region's ideal point alpha is a virtual graph node.  A complement cell is
 adjacent to alpha when it is 4-adjacent to a non-region cell inside the
-window (zero distance from the region boundary) or sits on a window edge the
-scene declared unbounded.  Components touching an undeclared window edge and
-nothing else are *window-ambiguous*: the finite picture cannot tell whether
-they escape, so answers that depend on them degrade to inconclusive instead
-of guessing.
+window (zero distance from the region boundary), sits on a window edge the
+scene declared unbounded, or sits where a ray leaves the window.  Components
+touching an undeclared window edge and nothing else are *window-ambiguous*:
+the finite picture cannot tell whether they escape, so answers that depend on
+them degrade to inconclusive instead of guessing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -30,64 +30,49 @@ ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS = 0, 1, 2
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 EIGHT = np.ones((3, 3), dtype=bool)
 
-_EDGES = ("N", "S", "E", "W")
-
-
-def _border_mask(grid: GridSpec) -> np.ndarray:
-    m = np.zeros((grid.nrows, grid.ncols), dtype=bool)
-    m[0, :] = m[-1, :] = True
-    m[:, 0] = m[:, -1] = True
-    return m
-
-
-def edges_to_border(grid: GridSpec, edges) -> np.ndarray:
-    """Border-position mask for a set of declared window edges."""
-    m = np.zeros((grid.nrows, grid.ncols), dtype=bool)
-    for e in edges:
-        if e == "all":
-            return _border_mask(grid)
-        if e == "N":
-            m[-1, :] = True
-        elif e == "S":
-            m[0, :] = True
-        elif e == "E":
-            m[:, -1] = True
-        elif e == "W":
-            m[:, 0] = True
-        else:
-            raise InputError(f"unknown window edge {e!r}")
-    return m
+# window edges as cell slices; a scene's "all" declares the four of them
+_EDGES = {"N": np.s_[-1, :], "S": np.s_[0, :], "E": np.s_[:, -1], "W": np.s_[:, 0]}
 
 
 @dataclass(eq=False)
 class RegionModel:
     """The working region: its cells plus frontier knowledge.
 
-    ``alpha_border`` flags window-border positions where the region is
-    declared (or forced by a carrier's exit) to continue outward;
-    ``declared_edges`` lists whole window edges so declared.
+    ``declared_edges`` names the whole window edges (N, S, E, W) past which
+    the region continues; ``exits`` flags further window positions where it
+    is forced to continue, such as the cell where a ray leaves the window.
+    ``alpha_border`` is derived from both: the declared edges' cells plus
+    the flagged cells that lie on the window border.
     """
 
     grid: GridSpec
     omega: CellSet
-    alpha_border: np.ndarray
-    simply_connected: bool = False
     declared_edges: frozenset = frozenset()
+    exits: InitVar[np.ndarray | None] = None
+    simply_connected: bool = False
+    alpha_border: np.ndarray = field(init=False)
     alpha_adjacent: np.ndarray = field(init=False)
     ambiguous_contact: np.ndarray = field(init=False)
     window_border: np.ndarray = field(init=False)
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
     _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
 
-    def __post_init__(self):
+    def __post_init__(self, exits):
         if self.omega.is_empty():
             raise InputError("region has no cells")
-        border = _border_mask(self.grid)
+        border = np.zeros((self.grid.nrows, self.grid.ncols), dtype=bool)
+        alpha = np.zeros_like(border)
+        for edge, cells in _EDGES.items():
+            border[cells] = True
+            if edge in self.declared_edges:    # never clear: corners are shared
+                alpha[cells] = True
+        if exits is not None:
+            alpha |= exits & border
         self.window_border = border
-        self.alpha_border = self.alpha_border & border
+        self.alpha_border = alpha
         inner_complement = ndimage.binary_dilation(~self.omega.bits, FOUR)
-        self.alpha_adjacent = self.omega.bits & (inner_complement | self.alpha_border)
-        self.ambiguous_contact = self.omega.bits & border & ~self.alpha_border
+        self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
+        self.ambiguous_contact = self.omega.bits & border & ~alpha
 
     def frame_distance(self) -> np.ndarray:
         """Per-cell distance to the nearest *undeclared* window edge.
@@ -123,9 +108,8 @@ class RegionModel:
 
 def plane_region(grid: GridSpec) -> RegionModel:
     """The whole plane seen through the window; every edge continues outward."""
-    return RegionModel(grid, CellSet.full(grid), _border_mask(grid),
-                       simply_connected=True,
-                       declared_edges=frozenset(_EDGES))
+    return RegionModel(grid, CellSet.full(grid), frozenset(_EDGES),
+                       simply_connected=True)
 
 
 def open_disk_region(grid: GridSpec, cx: float, cy: float, r: float,
@@ -133,28 +117,24 @@ def open_disk_region(grid: GridSpec, cx: float, cy: float, r: float,
     omega = rasterize_open_disk(grid, cx, cy, r)
     if punctured:
         omega = omega - rasterize_closed([Primitive.point((cx, cy))], grid)
-    return RegionModel(grid, omega, np.zeros_like(omega.bits),
-                       simply_connected=not punctured)
+    return RegionModel(grid, omega, simply_connected=not punctured)
 
 
 def open_rect_region(grid: GridSpec, x1: float, y1: float,
                      x2: float, y2: float) -> RegionModel:
     omega = rasterize_open_rect(grid, x1, y1, x2, y2)
-    return RegionModel(grid, omega, np.zeros_like(omega.bits),
-                       simply_connected=True)
+    return RegionModel(grid, omega, simply_connected=True)
 
 
 def custom_region(grid: GridSpec, omega: CellSet, *, unbounded_edges=(),
                   extra_unbounded=None, simply_connected=False) -> RegionModel:
     """The region continues past the ``unbounded_edges`` (N, S, E, W or
     "all") and past the border cells flagged in ``extra_unbounded``."""
-    alpha = edges_to_border(grid, unbounded_edges)
-    if extra_unbounded is not None:
-        alpha = alpha | extra_unbounded
-    edges = frozenset(_EDGES) if "all" in unbounded_edges else \
-        frozenset(e for e in unbounded_edges if e in _EDGES)
-    return RegionModel(grid, omega, alpha, simply_connected=simply_connected,
-                       declared_edges=edges)
+    for e in unbounded_edges:
+        if e != "all" and e not in _EDGES:
+            raise InputError(f"unknown window edge {e!r}")
+    edges = frozenset(_EDGES if "all" in unbounded_edges else unbounded_edges)
+    return RegionModel(grid, omega, edges, extra_unbounded, simply_connected)
 
 
 @dataclass(eq=False)

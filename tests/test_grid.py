@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arakgrid import (CellSet, InputError, Primitive, distance_field,
                       make_grid, rasterize_closed)
-from arakgrid.grid import MAX_CELLS, ray_exit_notes, rasterize_open_rect
+from arakgrid.grid import MAX_CELLS, ray_exit_cells, rasterize_open_rect
 from arakgrid.scene import parse_scene
 
 from oracles import brute_distances, circle_raster_oracle
@@ -138,14 +138,13 @@ class TestRasterize:
         prims = [Primitive.ray((0.0, 0.0), (0.0, 1.0))]
         got = rasterize_closed(prims, g)
         assert got.count() > 0
-        notes = ray_exit_notes(prims, g)
-        assert len(notes) == 1 and notes[0].edge == "N"
+        assert ray_exit_cells(prims, g) == [(4, 7)]     # top row, N edge
 
     def test_ray_missing_window(self):
         g = make_grid(-1, -1, 1, 1, 0.25)
         prims = [Primitive.ray((5.0, 0.0), (1.0, 0.0))]
         assert rasterize_closed(prims, g).is_empty()
-        assert ray_exit_notes(prims, g) == []
+        assert ray_exit_cells(prims, g) == []
 
     def test_polyline_needs_two_points(self):
         with pytest.raises(InputError):
@@ -186,7 +185,7 @@ class TestCellSetAlgebra:
             CellSet.from_cells(g, [(1, 1), cell])
 
     @pytest.mark.parametrize("cell", [(1.0, 2), (np.float64(1), 2), ("1", 2),
-                                      (1, 2, 3), 5])
+                                      (1, 2, 3), 5, (10**5000, 0, 1)])
     def test_from_cells_rejects_cells_not_integer_pairs(self, cell):
         # (1.0, 2) passed the bounds check, then numpy raised a bare IndexError
         g = make_grid(0, 0, 4, 4, 1)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from arakgrid import SceneParseError, parse_scene, print_scene, scenes_equivalent
-from arakgrid.grid import ray_exit_notes
+from arakgrid.grid import ray_exit_cells
 
 
 class TestParse:
@@ -28,9 +29,8 @@ class TestParse:
     def test_staircase_fixture_has_ray_exit(self):
         sc = parse_scene("grid -3 -3 3 8 0.03125\nomega plane\n"
                          "fixture intro_staircase\n")
-        notes = ray_exit_notes(sc.sets["F"], sc.grid)
-        assert any(n.edge == "N" for n in notes)
-        assert "F" in sc.sets
+        assert (sc.grid.ncols, sc.grid.nrows) == (192, 352)
+        assert ray_exit_cells(sc.sets["F"], sc.grid) == [(156, 351)]   # N edge
 
     def test_errors_carry_line_numbers(self):
         cases = [
@@ -40,6 +40,8 @@ class TestParse:
             ("grid 0 0 1 1 0.5\nomega plane\nomega plane\n", 3),
             ("grid 0 0 1 1 0.5\nfixture ex_2_10 0.6 0.3\n", 2),  # r1 >= r2
             ("grid 0 0 1 1 0.5\nfixture ex_2_10 0.6 0.6\n", 2),
+            ("grid -1.25 -1.25 1.25 1.25 0.5\nomega plane\n"   # fixture sets omega
+             "fixture ex_2_10 0.3 0.6\n", 3),
             ("grid 0 0 1 1 0.5\nunbounded Q\n", 2),
             ("grid 0 0 1 1 0.5\nset F circle 0 0 -1\n", 2),
             ("grid 0 0 1 1 0.5\nset F segment 0 0 inf 0\n", 2),  # non-finite
@@ -56,8 +58,9 @@ class TestParse:
     def test_missing_grid_or_omega(self):
         with pytest.raises(SceneParseError):
             parse_scene("omega plane\n")
-        with pytest.raises(SceneParseError):
+        with pytest.raises(SceneParseError) as err:
             parse_scene("grid 0 0 1 1 0.5\n")
+        assert err.value.lineno == 0        # no line to name
 
     def test_accumulating_set_lines(self):
         sc = parse_scene("grid -2 -2 2 2 0.125\nomega plane\n"
@@ -112,3 +115,12 @@ class TestSceneToRegion:
         assert region.declared_edges == frozenset({"N"})
         assert region.alpha_border[-1, :].all()
         assert not region.alpha_border[0, 1:-1].any()
+
+    def test_ray_exit_continues_a_bounded_region(self):
+        # the window lies inside the rect, so its edges are undeclared; the
+        # ray leaves through the N edge at cell (4, 7) and only there
+        sc = parse_scene("grid -2 -2 2 2 0.5\nomega rect -3 -3 3 3\n"
+                         "set F ray 0.1 0.1 0 1\n")
+        region = sc.region()
+        assert region.declared_edges == frozenset()
+        assert np.argwhere(region.alpha_border).tolist() == [[7, 4]]

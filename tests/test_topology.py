@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
-                      Primitive, compactified_complement_connected, holes,
+from arakgrid import (CellSet, InputError, NotSimplyConnectedError,
+                      PreconditionError, Primitive,
+                      compactified_complement_connected, holes,
                       label_components, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
                       sphere_complement_connected)
@@ -207,6 +208,34 @@ class TestLabelOrder:
 def _ring3(grid):
     cells = [(i, j) for i in range(1, 4) for j in range(1, 4) if (i, j) != (2, 2)]
     return CellSet.from_cells(grid, cells)
+
+
+class TestFrontier:
+    @pytest.mark.parametrize("edges", [("N", "W"), ("W", "N")])
+    def test_declared_edges_keep_their_shared_corner(self, edges):
+        # undeclared E and S share the top right and bottom left corners
+        # with the declared N and W; those corners stay alpha
+        g = make_grid(0, 0, 4, 3, 1)
+        region = custom_region(g, CellSet.full(g), unbounded_edges=edges)
+        want = np.zeros((3, 4), dtype=bool)
+        want[-1, :] = True              # top row, the N edge
+        want[:, 0] = True               # left column, the W edge
+        assert np.array_equal(region.alpha_border, want)
+        assert region.declared_edges == frozenset({"N", "W"})
+
+    def test_exit_cells_count_on_the_border_only(self):
+        g = make_grid(0, 0, 4, 3, 1)
+        extra = np.zeros((3, 4), dtype=bool)
+        extra[1, 1] = extra[1, 3] = True    # an interior cell, an E-edge cell
+        region = custom_region(g, CellSet.full(g), extra_unbounded=extra)
+        assert np.argwhere(region.alpha_border).tolist() == [[1, 3]]
+        assert region.declared_edges == frozenset()
+
+    @pytest.mark.parametrize("edges", [("X",), ("N", "X")])
+    def test_unknown_edge_is_an_input_error(self, edges):
+        g = make_grid(0, 0, 4, 3, 1)
+        with pytest.raises(InputError, match="unknown window edge"):
+            custom_region(g, CellSet.full(g), unbounded_edges=edges)
 
 
 class TestHoles:
