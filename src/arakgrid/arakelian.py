@@ -20,11 +20,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ArakGridError, PreconditionError
 from .grid import CellSet, GridSpec
-from .topology import EIGHT, HoleSet, RegionModel, holes
+from .topology import HoleSet, RegionModel, dilate, holes
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class Exhaustion:
             if not K.issubset(region.omega):
                 raise ArakGridError("exhaustion level leaves the region")
             if k + 1 < len(self.levels):
-                grown = ndimage.binary_dilation(K.bits, EIGHT)
+                grown = dilate(K.bits, 8)
                 if (grown & ~self.levels[k + 1].bits).any():
                     raise ArakGridError(
                         f"level {self.level_ids[k]} not interior to the next")
@@ -148,7 +147,7 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
         if capped:
             bits = bits & (rad <= R_values[k - 1])
         if prev is not None:
-            grown = ndimage.binary_dilation(prev, EIGHT) & region.omega.bits
+            grown = dilate(prev, 8) & region.omega.bits
             bits = bits | grown
         # fill the level's holes; window-ambiguous components stay out
         bits = bits | holes(CellSet(grid, bits), region).union.bits

@@ -7,6 +7,7 @@ can break continuous guarantees, so the certificate is the contract, and a
 failed certificate raises instead of returning.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +34,9 @@ class Disk:
 
 @dataclass(eq=False)
 class DiskCover:
-    """Closed disks covering the obstacle set, radii from the distance rule
-    min(dist(x, F)/2, dist(x, complement), 1); annuli never decrease along it."""
+    """Closed disks covering the obstacle set; annuli never decrease along it.
+    The disk centred on cell x has radius min(dist(x, F)/2, dist(x, complement), 1),
+    dist(x, F) measured to F's nearest cell centre (inf when F is empty)."""
 
     disks: list[Disk]
     covered: CellSet
@@ -137,8 +139,10 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
 
     Walking the annuli of the region's 3-level exhaustion in order and
     scanning row-major, every still-uncovered obstacle cell contributes a
-    disk with the distance-rule radius; selection stops when the annulus is
-    covered.  Deterministic.
+    disk; selection stops when the annulus is covered.  Deterministic.
+    Each centre's dist(x, F) is read off F's cells alone, as sqrt of the least
+    integer squared offset times delta: bit-equal to ``distance_field(F)``
+    (twin: ``oracles.disk_cover_reference``).
     """
     grid = region.grid
     if not F.issubset(U) or not U.issubset(region.omega):
@@ -147,12 +151,8 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     if obstacles.is_empty():
         return DiskCover([], CellSet.empty(grid))
 
-    d_f = distance_field(F).values
+    fj, fi = (a.astype(np.int64) for a in np.nonzero(F.bits))
     d_bd = region.boundary_distance()
-    if (d_f[obstacles.bits] <= 0).any():
-        raise PreconditionError(
-            "carrier set touches the obstacle set at grid scale")
-    radius = np.minimum(np.minimum(d_f / 2.0, d_bd), 1.0)
 
     annuli = []
     prev = None
@@ -168,9 +168,9 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     for a_idx, ann in enumerate(annuli, start=1):
         todo = obstacles.bits & ann & ~covered
         while todo.any():
-            js, iis = np.nonzero(todo)
-            i, j = int(iis[0]), int(js[0])
-            r = float(radius[j, i])
+            j, i = divmod(int(todo.argmax()), grid.ncols)
+            d2 = ((fi - i) ** 2 + (fj - j) ** 2).min() if fi.size else math.inf
+            r = min(math.sqrt(d2) * grid.delta / 2.0, float(d_bd[j, i]), 1.0)
             cxy = grid.cell_center(i, j)
             raster = rasterize_closed([Primitive.disk(cxy, r)], grid)
             covered |= raster.bits & region.omega.bits

@@ -79,9 +79,14 @@ class GridSpec:
             np.broadcast_to(ys[:, None], (self.nrows, self.ncols))
 
     def center_abs(self) -> np.ndarray:
-        """``|cell center|`` (distance from the origin) per cell."""
-        X, Y = self.center_mesh()
-        return np.hypot(X, Y)
+        """``|cell center|`` (distance from the origin) per cell.  Computed on
+        the first call and cached on this grid, so it lives as long as the
+        grid does; the array is read-only."""
+        if "_center_abs" not in self.__dict__:
+            field = np.hypot(*self.center_mesh())
+            field.flags.writeable = False
+            object.__setattr__(self, "_center_abs", field)    # frozen dataclass
+        return self.__dict__["_center_abs"]
 
     @property
     def window_center(self) -> tuple[float, float]:

@@ -178,6 +178,8 @@ def _parse_primitive(parts, lineno) -> Primitive:
                 return Primitive.bracket(int(args[0]))
             except ValueError as exc:
                 raise SceneParseError(lineno, f"bad bracket index: {exc}") from exc
+    except SceneParseError:
+        raise                       # already names its line
     except InputError as exc:
         raise SceneParseError(lineno, str(exc)) from exc
     raise SceneParseError(lineno, f"unknown primitive {kind!r}")

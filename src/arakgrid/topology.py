@@ -34,6 +34,20 @@ EIGHT = np.ones((3, 3), dtype=bool)
 _EDGES = {"N": np.s_[-1, :], "S": np.s_[0, :], "E": np.s_[:, -1], "W": np.s_[:, 0]}
 
 
+def dilate(bits: np.ndarray, connectivity: int) -> np.ndarray:
+    """The set cells of ``bits`` and their 4- or 8-neighbours, clipped to the
+    array (twin: ``oracles.naive_dilate``).  Column neighbours are ORed in
+    first; the row neighbours then read the original bits for 4-connectivity
+    and the widened ones for 8."""
+    out = bits.copy()
+    out[:, 1:] |= bits[:, :-1]
+    out[:, :-1] |= bits[:, 1:]
+    rows = bits if connectivity == 4 else out.copy()
+    out[1:] |= rows[:-1]
+    out[:-1] |= rows[1:]
+    return out
+
+
 @dataclass(eq=False)
 class RegionModel:
     """The working region: its cells plus frontier knowledge.
@@ -70,7 +84,7 @@ class RegionModel:
             alpha |= exits & border
         self.window_border = border
         self.alpha_border = alpha
-        inner_complement = ndimage.binary_dilation(~self.omega.bits, FOUR)
+        inner_complement = dilate(~self.omega.bits, 4)
         self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
         self.ambiguous_contact = self.omega.bits & border & ~alpha
 

@@ -2,7 +2,7 @@
 
 Everything here is written the slow, obvious way on purpose: plain flood
 fills, pairwise minima, linear scans.  None of it shares code with the
-package beyond the data types.
+package beyond the data types, except where a docstring says so.
 """
 
 import cmath
@@ -11,6 +11,7 @@ from collections import deque
 
 import numpy as np
 
+from arakgrid import Primitive, build_exhaustion, rasterize_closed
 from arakgrid.errors import ResolutionError
 
 
@@ -113,6 +114,52 @@ def brute_distances(source: np.ndarray, delta: float) -> np.ndarray:
         d2 = (jj - cj).astype(np.int64) ** 2 + (ii - ci).astype(np.int64) ** 2
         np.minimum(best, d2, out=best)
     return np.sqrt(best.astype(np.float64)) * delta
+
+
+def disk_cover_reference(F, U, region):
+    """The disk cover the old way: every cell's radius from a full
+    pairwise-minimum distance field (``brute_distances``), the next centre
+    from a full row-major ``np.nonzero`` scan.  It shares the exhaustion and
+    the disk raster with the package, so it checks the radius rule and the
+    centre order.  Returns ``[(center, radius, annulus)]`` and the covered
+    bits."""
+    grid, omega = region.grid, region.omega.bits
+    obstacles = omega & ~U.bits
+    d_f = brute_distances(F.bits, grid.delta)
+    radius = np.minimum(np.minimum(d_f / 2.0, region.boundary_distance()), 1.0)
+    annuli, prev = [], np.zeros_like(omega)
+    for K in build_exhaustion(region, 3).levels:
+        annuli.append(K.bits & ~prev)
+        prev = K.bits
+    annuli.append(omega & ~prev)
+    covered = np.zeros_like(omega)
+    disks = []
+    for a_idx, ann in enumerate(annuli, start=1):
+        while True:
+            js, iis = np.nonzero(obstacles & ann & ~covered)
+            if len(js) == 0:
+                break
+            i, j = int(iis[0]), int(js[0])
+            r = float(radius[j, i])
+            disk = Primitive.disk(grid.cell_center(i, j), r)
+            covered |= rasterize_closed([disk], grid).bits & omega
+            disks.append(((i, j), r, a_idx))
+    return disks, covered
+
+
+def naive_dilate(bits: np.ndarray, connectivity: int) -> np.ndarray:
+    """Cell-by-cell dilation: a cell is set when it or one of its 4- (8-)
+    neighbours inside the array is set; the twin of ``topology.dilate``."""
+    nrows, ncols = bits.shape
+    steps = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    if connectivity == 8:
+        steps += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    out = np.zeros_like(bits)
+    for j in range(nrows):
+        for i in range(ncols):
+            out[j, i] = any(0 <= i + di < ncols and 0 <= j + dj < nrows and
+                            bits[j + dj, i + di] for di, dj in steps)
+    return out
 
 
 def nearest_carrier_values(carrier: np.ndarray, values: np.ndarray):

@@ -10,12 +10,13 @@ from arakgrid import (BuildRefusalError, CellSet,
                       NotSimplyConnectedError, PreconditionError, Primitive,
                       build_exhaustion, build_v, disjoint_union_v, disk_cover,
                       escape_curves, holes, make_grid, open_disk_region,
-                      plane_region, rasterize_closed, refutation_blocks_build,
-                      refute_witness)
+                      open_rect_region, plane_region, rasterize_closed,
+                      refutation_blocks_build, refute_witness)
 from arakgrid.builder import _wave_distances
 from arakgrid.scene import parse_scene
 
-from oracles import bfs_distances, bfs_path_ok, flood_components, naive_reach
+from oracles import (bfs_distances, bfs_path_ok, disk_cover_reference,
+                     flood_components, naive_dilate, naive_reach)
 from test_acceptance import _random_open_scene
 
 rng = np.random.default_rng(31337)
@@ -77,6 +78,82 @@ class TestDiskCover:
                                       if K.bits[j, i]), len(exh.levels) + 1)
         annuli = [d.annulus for d in cover.disks]
         assert annuli == sorted(annuli) and len(set(annuli)) > 1
+
+
+def _cover_region(kind, n, inset=1, delta=1 / 16):
+    """An n x n window of cells of side delta: the plane, or an open disk or
+    open rectangle inside it, whose boundary distances are finite."""
+    w = n * delta
+    g = make_grid(0, 0, w, w, delta)
+    if kind == "plane":
+        return plane_region(g)
+    if kind == "disk":
+        return open_disk_region(g, w / 2, w / 2, 0.45 * w)
+    return open_rect_region(g, inset * delta, inset * delta, w - inset * delta,
+                            w - inset * delta)
+
+
+def _assert_cover_matches_reference(F, obstacles, region):
+    U = region.omega - obstacles
+    cover = disk_cover(F, U, region)
+    want, covered = disk_cover_reference(F, U, region)
+    # radii compared by their bits, not by ==
+    assert [(d.center, d.radius.hex(), d.annulus) for d in cover.disks] == \
+        [(c, r.hex(), a) for c, r, a in want]
+    assert all(d.center_xy == region.grid.cell_center(*d.center)
+               for d in cover.disks)
+    assert np.array_equal(cover.covered.bits, covered)
+
+
+class TestDiskCoverMatchesReference:
+    """``disk_cover`` reads dist(x, F) at the chosen centres only; the
+    reference reads a full pairwise-minimum field.  Same centres, radii to
+    the bit, annuli and covered cells."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["plane", "disk", "rect"]), st.integers(14, 24),
+           st.integers(0, 2), st.sampled_from([1 / 16, 0.1, 0.07]),
+           st.booleans(), st.data())
+    def test_random_scenes(self, kind, n, inset, delta, on_border, data):
+        region = _cover_region(kind, n, inset, delta)
+        omega = region.omega.bits
+        f_bits = np.zeros_like(omega)
+        cells = [tuple(c) for c in np.argwhere(omega)]
+        for j, i in data.draw(st.lists(st.sampled_from(cells), max_size=8)):
+            f_bits[j, i] = True
+        if on_border:                       # a run along the bottom window row
+            f_bits[0, :data.draw(st.integers(1, n))] = True
+            f_bits &= omega
+        free = omega & ~f_bits
+        near = [tuple(c) for c in np.argwhere(naive_dilate(f_bits, 8) & free)]
+        far = [tuple(c) for c in np.argwhere(free)]
+        o_bits = np.zeros_like(omega)
+        for pool, most in ((near, 3), (far, 5)):
+            if pool:
+                for j, i in data.draw(st.lists(st.sampled_from(pool), max_size=most)):
+                    o_bits[j, i] = True
+        g = region.grid
+        _assert_cover_matches_reference(CellSet(g, f_bits), CellSet(g, o_bits),
+                                        region)
+
+    @pytest.mark.parametrize("kind, inset, f_cells, o_cells", [
+        ("disk", 1, [], [(3, 10), (10, 10), (16, 10)]),
+        ("plane", 1, [], [(0, 0), (19, 19), (7, 12)]),
+        ("plane", 1, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (0, 19)]),
+        ("rect", 0, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (19, 19)]),
+        ("rect", 0, [(0, j) for j in range(20)], [(1, 4), (2, 9), (1, 19)]),
+        ("rect", 2, [(9, 9), (10, 9)], [(8, 8), (11, 10), (9, 10), (2, 2)]),
+        ("disk", 1, [(10, 10)], [(9, 9), (11, 11), (10, 12), (4, 10)]),
+    ], ids=["empty-F-disk", "empty-F-plane", "bottom-row-plane",
+            "bottom-row-rect", "left-column-rect", "adjacent-rect",
+            "adjacent-disk"])
+    def test_edge_cases(self, kind, inset, f_cells, o_cells):
+        region = _cover_region(kind, 20, inset)
+        g = region.grid
+        F = CellSet.from_cells(g, f_cells) & region.omega
+        obstacles = CellSet.from_cells(g, o_cells) & region.omega
+        assert not obstacles.is_empty() and (F & obstacles).is_empty()
+        _assert_cover_matches_reference(F, obstacles, region)
 
 
 class TestEscapeCurves:

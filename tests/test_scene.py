@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,11 +51,21 @@ class TestParse:
             ("grid 0 0 1 1 0.5\nset F bracket inf\n", 2),
             ("grid 0 0 1 1 0.5\nfn F poly:1,nan\n", 2),
             ("grid 0 0 1 1 0.5\nfn F const:inf\n", 2),
+            ("grid 0 0 1 1 0.5\nomega plane\nset F circle 0 0 nan\n", 3),
+            ("grid 0 0 1 1 0.5\nset F segment 0 0 1\n", 2),           # arity
+            ("grid 0 0 1 1 0.5\nset F polyline 0 0 1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F staircase 1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F bracket 1 2\n", 2),
+            ("grid 0 0 1 1 0.5\nset F bracket 0\n", 2),
         ]
         for text, lineno in cases:
             with pytest.raises(SceneParseError) as err:
                 parse_scene(text)
             assert err.value.lineno == lineno
+            # the line is named once: "line 3: ...", never "line 3: line 3: ..."
+            msg = str(err.value)
+            assert msg.startswith(f"line {lineno}: ")
+            assert re.findall(r"line \d+:", msg) == [f"line {lineno}:"]
 
     def test_missing_grid_or_omega(self):
         with pytest.raises(SceneParseError):

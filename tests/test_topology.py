@@ -13,7 +13,7 @@ from arakgrid import topology
 from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
-from oracles import flood_components, naive_holes, naive_reach
+from oracles import flood_components, naive_dilate, naive_holes, naive_reach
 
 rng = np.random.default_rng(20250810)
 
@@ -203,6 +203,47 @@ class TestLabelOrder:
             assert np.array_equal(got.alpha_reach, want.alpha_reach)
         # the permutations moved labels, so the fallback really ran
         assert len(calls) == len(domains) and max(calls) >= 2
+
+
+class TestDilate:
+    """``topology.dilate`` against a cell-by-cell neighbour loop and
+    scipy's ``binary_dilation`` with the matching structure."""
+
+    @staticmethod
+    def _check(bits, connectivity):
+        before = bits.copy()
+        got = topology.dilate(bits, connectivity)
+        assert got.dtype == bool and got.shape == bits.shape
+        assert np.array_equal(got, naive_dilate(bits, connectivity))
+        structure = topology.FOUR if connectivity == 4 else topology.EIGHT
+        assert np.array_equal(got, topology.ndimage.binary_dilation(bits, structure))
+        assert np.array_equal(bits, before)         # input left alone
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([4, 8]),
+           st.sampled_from(["random", "set", "clear"]), st.data())
+    def test_matches_oracle(self, nrows, ncols, connectivity, fill, data):
+        if fill == "random":
+            p = data.draw(st.floats(0.0, 1.0))
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            bits = np.random.default_rng(seed).random((nrows, ncols)) < p
+        else:
+            bits = np.full((nrows, ncols), fill == "set")
+        self._check(bits, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("bits", [
+        np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+        np.eye(1, 9, 4, dtype=bool), np.eye(9, 1, -4, dtype=bool),
+        np.eye(1, 9, 0, dtype=bool), np.eye(9, 1, -8, dtype=bool),
+        np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+        np.ones((6, 7), dtype=bool), np.zeros((6, 7), dtype=bool),
+        np.eye(7, dtype=bool), np.eye(7, dtype=bool)[::-1],
+    ], ids=["1x1-set", "1x1-clear", "1xN-middle", "Nx1-middle", "1xN-end",
+            "Nx1-end", "1xN-set", "Nx1-set", "all-set", "all-clear",
+            "diagonal", "anti-diagonal"])
+    def test_edge_cases(self, bits, connectivity):
+        self._check(bits, connectivity)
 
 
 def _ring3(grid):

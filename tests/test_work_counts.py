@@ -115,6 +115,51 @@ class TestHoleExtentsWhereRead:
         assert n["center_abs"] == fields
 
 
+class TestCenterAbsPerGrid:
+    """``GridSpec.center_abs`` builds its field once per grid and hands out
+    the same read-only array after that."""
+
+    def test_one_field_per_grid(self, monkeypatch):
+        fields = []         # every array returned, kept alive so ids stay unique
+        center_abs = grid.GridSpec.center_abs
+
+        def recording(self):
+            fields.append(center_abs(self))
+            return fields[-1]
+
+        monkeypatch.setattr(grid.GridSpec, "center_abs", recording)
+        code, n = count_work(monkeypatch, [
+            "check", scene("intro_staircase.scene"), "--windows", "8,16,32"])
+        assert code == 2
+        assert n["regions"] == 3
+        # distinct arrays are hypot builds: one per window's grid
+        assert len({id(f) for f in fields}) == 3
+        assert n["center_abs"] == len(fields) > 3
+
+    def test_field_is_cached_and_read_only(self):
+        g = make_grid(-1, -1, 1, 1, 0.25)
+        field = g.center_abs()
+        assert g.center_abs() is field
+        assert make_grid(-1, -1, 1, 1, 0.25).center_abs() is not field
+        with pytest.raises(ValueError):
+            field[0, 0] = 0.0
+
+
+class TestEdtsPerConstruction:
+    """Disk radii are read off F's cells at the chosen centres: the disk
+    cover runs no distance transform.  Only ``union``'s bisector does, one
+    per carrier."""
+
+    @pytest.mark.parametrize("argv, edts", [
+        (["build-v", "segment.scene"], 0),
+        (["union", "union_segments.scene"], 2),
+    ], ids=["build-v", "union"])
+    def test_transforms(self, monkeypatch, argv, edts):
+        code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
+        assert code == 0
+        assert n["edts"] == edts
+
+
 class TestOneExhaustionPerRegion:
     """``build_exhaustion`` builds each region's exhaustion once; the check
     and the builders read the same read-only levels."""
