@@ -30,7 +30,10 @@ class SampledFunction:
         X, Y = grid.center_mesh()
         vals = np.zeros(carrier.bits.shape, dtype=np.complex128)
         zs = X[carrier.bits] + 1j * Y[carrier.bits]
-        vals[carrier.bits] = np.asarray([fn(z) for z in zs], dtype=np.complex128)
+        try:
+            vals[carrier.bits] = np.asarray([fn(z) for z in zs], dtype=np.complex128)
+        except OverflowError as exc:
+            raise PreconditionError(f"f overflows on the carrier: {exc}") from None
         return cls(carrier, vals)
 
     def at(self, i: int, j: int) -> complex:
@@ -102,9 +105,10 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     edge adds the principal argument increment, which must stay below pi in
     magnitude or the grid is declared too coarse.
 
-    The tree is one ``_bfs_layers`` BFS from all roots.  The per-cell math
-    stays scalar and the imaginary parts add up layer by layer, so every
-    value is bit for bit the one of a cell-by-cell BFS.
+    The tree is one ``_bfs_layers`` BFS from all roots.  The scalar math
+    runs once per distinct sample (by bit pattern: -1+0j and -1-0j differ)
+    and once per cross-sample edge; the imaginary parts add up layer by
+    layer, so every value is bit for bit the one of a cell-by-cell BFS.
     """
     lab = label_components(v, 4)
     # first cell of each label in (i, j) order, i.e. column-first
@@ -116,17 +120,33 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
         ri, rj = root_cell
         seeds &= lab.labels != lab.labels[rj, ri]
         seeds[rj, ri] = True
+    del lab, first
 
     w = ext.values.ravel()
+    # V's cells sorted by sample bits (np.unique would merge -1+0j and -1-0j)
+    in_v = np.flatnonzero(v.bits)
+    in_v = in_v[np.lexsort(w[in_v].view(np.int64).reshape(-1, 2).T)]
+    key = w[in_v].view(np.int64).reshape(-1, 2)
+    new = np.ones(in_v.size, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    ids = np.zeros(w.size, dtype=np.int32)
+    ids[in_v] = np.cumsum(new, dtype=np.int32) - 1
+    distinct = w[in_v[new]].tolist()
+    del in_v, key, new
+    logs = np.array([complex(math.log(abs(z)), cmath.phase(z)) for z in distinct])
+    same = np.array([cmath.phase(z / z) for z in distinct])
+
     vals = np.zeros(w.size, dtype=np.complex128)
     for cells, parents in _bfs_layers(v.bits, seeds):
-        w_cells = w[cells].tolist()
-        vals.real[cells] = [math.log(abs(z)) for z in w_cells]
-        if parents[0] < 0:                  # the roots
-            vals.imag[cells] = [cmath.phase(z) for z in w_cells]
+        at = ids[cells]
+        if parents[0] < 0:                  # the roots: principal branch
+            vals[cells] = logs[at]
             continue
-        dtheta = np.array([cmath.phase(a / b) for a, b in
-                           zip(w_cells, w[parents].tolist())])
+        vals.real[cells] = logs.real[at]
+        dtheta = same[at]
+        cross = np.flatnonzero(at != ids[parents])
+        dtheta[cross] = [cmath.phase(a / b) for a, b in
+                         zip(w[cells[cross]].tolist(), w[parents[cross]].tolist())]
         if (np.abs(dtheta) >= math.pi * (1 - 1e-12)).any():
             raise ResolutionError(
                 "phase jump of at least pi along a tree edge; "
@@ -162,8 +182,8 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     if not (math.isfinite(eps_zero) and eps_zero > 0 and math.isfinite(tol)):
         raise PreconditionError(
             "eps_zero must be finite and positive, tol finite")
-    if not np.isfinite(f.values[F.bits]).all():
-        raise PreconditionError("samples of f on the carrier must be finite")
+    if not np.isfinite(np.abs(f.values[F.bits])).all():   # abs() may overflow
+        raise PreconditionError("|f| on the carrier must be finite")
     # guards are written so that a NaN fails them
     if not (f.min_abs() >= eps_zero):
         raise PreconditionError(

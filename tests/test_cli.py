@@ -10,7 +10,7 @@ import tempfile
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arakgrid.cli import REPORT_SCHEMA, run_cli
@@ -186,6 +186,12 @@ def _loglift_line_with(tmp_path, fn_line):
     return str(p)
 
 
+_ABS_OVERFLOW = ("grid -2 -2 1 1 0.5\nomega plane\nset F segment 0.0 0.0 1.0 -2.0\n"
+                 "fn F poly:0.0,1e308\n")
+_EXP_OVERFLOW = ("grid 800 -1 802 1 0.25\nomega plane\nset F segment 800.5 0 801.5 0\n"
+                 "fn F exp\n")
+
+
 class TestNonFiniteInput:
     """Non-finite numbers are input errors (exit 3), never a traceback or
     a refutation."""
@@ -224,6 +230,17 @@ class TestNonFiniteInput:
         args = ["loglift", _loglift_line_with(tmp_path, "fn F poly:0,1e308")]
         code, out, err = run(args + (["--json"] if as_json else []))
         assert code == 3 and "finite" in err and "verified" not in out
+
+    @pytest.mark.parametrize("text", [_ABS_OVERFLOW, _EXP_OVERFLOW],
+                             ids=["abs", "exp"])
+    def test_samples_overflowing_scalar_math(self, tmp_path, text):
+        # abs() of finite samples whose modulus exceeds the float range, and
+        # cmath.exp overflowing while the samples are taken
+        p = tmp_path / "big.scene"
+        p.write_text(text)
+        code, out, err = run(["loglift", str(p)])
+        assert code == 3 and "Traceback" not in out + err
+        assert "verified" not in out
 
     @pytest.mark.parametrize("args", [
         ["holes", scene("segment.scene"), "--with-k", "disk:0,0,inf"],
@@ -424,6 +441,7 @@ class TestCliFuzz:
     @pytest.mark.filterwarnings("ignore")
     @settings(max_examples=200, deadline=None)
     @given(_SCENE_BYTES, _COMMANDS, st.booleans())
+    @example(_ABS_OVERFLOW.encode(), ("loglift", {}), False)
     def test_exit_code_always_in_contract(self, text, command, as_json):
         name, flags = command
         with tempfile.TemporaryDirectory() as tmp:

@@ -277,6 +277,39 @@ _SHAPES = st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
 _PHASES = st.one_of(st.floats(-math.pi, math.pi),
                     st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
 
+# a small pool of samples, as tietze_extend leaves: twins equal as complex
+# numbers but not bit for bit (-1+0j and -1-0j have phases +pi and -pi), and
+# 0.47-0.25j, whose quotient by itself is not exactly 1
+_POOL = [complex(-1, 0.0), complex(-1, -0.0), complex(0.0, -1),
+         complex(-0.0, -1), complex(1, 0.0), complex(1, -0.0),
+         complex(0.47, -0.25), cmath.rect(2, -2.5), cmath.rect(0.5, 2.5)]
+
+
+def _check_random_mask(shape, data, samples):
+    """Draw V, one sample per cell and a root (none, in V or off V), and
+    compare the unwrap with the oracle."""
+    nrows, ncols = shape
+    n = nrows * ncols
+    bits = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool)
+    bits = bits.reshape(nrows, ncols)
+    ext_vals = np.array(data.draw(st.lists(samples, min_size=n, max_size=n)),
+                        dtype=np.complex128).reshape(nrows, ncols)
+    where = data.draw(st.sampled_from(["none", "inside", "outside"]))
+    pool = bits if where == "inside" else ~bits
+    root_cell = None
+    if where != "none" and pool.any():
+        js, iis = np.nonzero(pool)
+        k = data.draw(st.integers(0, len(js) - 1))
+        root_cell = (int(iis[k]), int(js[k]))
+
+    g = make_grid(0, 0, ncols, nrows, 1)
+    v = CellSet(g, bits)
+    ext = SampledFunction(CellSet.full(g), ext_vals)
+    got = _unwrap_outcome(lambda: _unwrap_on(v, ext, root_cell).values)
+    want = _unwrap_outcome(lambda: bfs_unwrap(bits, ext_vals, root_cell))
+    assert got == want
+
 
 class TestUnwrapOracle:
     """The layered unwrap matches the cell-by-cell deque BFS bit for bit."""
@@ -284,29 +317,14 @@ class TestUnwrapOracle:
     @settings(max_examples=300, deadline=None)
     @given(_SHAPES, st.data())
     def test_matches_oracle_on_random_masks(self, shape, data):
-        nrows, ncols = shape
-        n = nrows * ncols
-        bits = np.array(data.draw(st.lists(st.booleans(), min_size=n,
-                                           max_size=n)), dtype=bool)
-        bits = bits.reshape(nrows, ncols)
-        mods = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
-        phases = data.draw(st.lists(_PHASES, min_size=n, max_size=n))
-        ext_vals = np.array([cmath.rect(r, t) for r, t in zip(mods, phases)],
-                            dtype=np.complex128).reshape(nrows, ncols)
-        where = data.draw(st.sampled_from(["none", "inside", "outside"]))
-        pool = bits if where == "inside" else ~bits
-        root_cell = None
-        if where != "none" and pool.any():
-            js, iis = np.nonzero(pool)
-            k = data.draw(st.integers(0, len(js) - 1))
-            root_cell = (int(iis[k]), int(js[k]))
+        _check_random_mask(shape, data,
+                           st.builds(cmath.rect, st.floats(0.1, 10.0), _PHASES))
 
-        g = make_grid(0, 0, ncols, nrows, 1)
-        v = CellSet(g, bits)
-        ext = SampledFunction(CellSet.full(g), ext_vals)
-        got = _unwrap_outcome(lambda: _unwrap_on(v, ext, root_cell).values)
-        want = _unwrap_outcome(lambda: bfs_unwrap(bits, ext_vals, root_cell))
-        assert got == want
+    @settings(max_examples=300, deadline=None)
+    @given(_SHAPES, st.data())
+    def test_matches_oracle_on_repeated_samples(self, shape, data):
+        pool = data.draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3))
+        _check_random_mask(shape, data, st.sampled_from(pool))
 
     @pytest.mark.parametrize("delta", [1 / 32, 1 / 64])
     def test_matches_oracle_on_lifted_neighborhood(self, delta):

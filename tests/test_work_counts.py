@@ -1,22 +1,26 @@
 """Work counts per CLI command: component labelings, region models,
 exhaustions, sphere-complement tests, boundary distance fields, exact
-distance (feature) transforms and |cell center| fields.
+distance (feature) transforms, |cell center| fields and the log lift's
+scalar ``math.log`` / ``cmath.phase`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
 """
 
+import cmath
 import contextlib
 import io
+import math
 import os
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from arakgrid import (Primitive, SampledFunction, arakelian, builder, grid,
-                      make_grid, plane_region, rasterize_closed, tietze_extend,
-                      topology)
+                      loglift, make_grid, plane_region, rasterize_closed,
+                      tietze_extend, topology)
 from arakgrid.cli import run_cli
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -243,6 +247,36 @@ class TestFeatureTransformsPerExtension:
         code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0
         assert n["edts"] == 1
+
+
+class TestScalarMathPerLift:
+    """The unwrap's scalar ``math.log`` and ``cmath.phase`` run once per
+    distinct sample of V and once per tree edge joining two samples; per-cell
+    math would show as counts near V's cell count."""
+
+    def test_loglift_command(self, monkeypatch):
+        calls = Counter()
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return SimpleNamespace(**{**vars(module), name: wrapper})
+
+        monkeypatch.setattr(loglift, "math", counting(math, "log"))
+        monkeypatch.setattr(loglift, "cmath", counting(cmath, "phase"))
+        v_cells = []
+        unwrap = loglift._unwrap_on
+        monkeypatch.setattr(loglift, "_unwrap_on", lambda v, *a, **k: (
+            v_cells.append(int(v.bits.sum())) or unwrap(v, *a, **k)))
+        code, _ = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
+        assert code == 0 and v_cells == [10240]
+        # 66 distinct samples: log|z| and phase(z) each, phase(z / z) for
+        # edges inside one sample, and phase(a / b) on 65 cross edges
+        assert calls == {"log": 66, "phase": 2 * 66 + 65}
+        assert max(calls.values()) < v_cells[0] / 10
 
 
 _DISK = "grid -1.25 -1.25 1.25 1.25 0.03125\nomega disk 0 0 1\n"
