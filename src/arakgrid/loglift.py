@@ -105,10 +105,9 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     edge adds the principal argument increment, which must stay below pi in
     magnitude or the grid is declared too coarse.
 
-    The tree is one ``_bfs_layers`` BFS from all roots.  The scalar math
-    runs once per distinct sample (by bit pattern: -1+0j and -1-0j differ)
-    and once per cross-sample edge; the imaginary parts add up layer by
-    layer, so every value is bit for bit the one of a cell-by-cell BFS.
+    The tree is one ``_bfs_layers`` BFS from all roots.  The scalar math runs
+    once per distinct sample (by bit pattern), root and cross-sample edge;
+    the imaginary parts add up layer by layer, bit for bit as cell by cell.
     """
     lab = label_components(v, 4)
     # first cell of each label in (i, j) order, i.e. column-first
@@ -131,18 +130,18 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     new[1:] = (key[1:] != key[:-1]).any(axis=1)
     ids = np.zeros(w.size, dtype=np.int32)
     ids[in_v] = np.cumsum(new, dtype=np.int32) - 1
-    distinct = w[in_v[new]].tolist()
+    distinct, many = w[in_v[new]].tolist(), (np.bincount(ids[in_v]) > 1).tolist()
     del in_v, key, new
-    logs = np.array([complex(math.log(abs(z)), cmath.phase(z)) for z in distinct])
-    same = np.array([cmath.phase(z / z) for z in distinct])
+    logs = np.array([math.log(abs(z)) for z in distinct])
+    same = np.array([cmath.phase(z / z) if m else 0.0 for z, m in zip(distinct, many)])
 
     vals = np.zeros(w.size, dtype=np.complex128)
     for cells, parents in _bfs_layers(v.bits, seeds):
         at = ids[cells]
+        vals.real[cells] = logs[at]
         if parents[0] < 0:                  # the roots: principal branch
-            vals[cells] = logs[at]
+            vals.imag[cells] = [cmath.phase(z) for z in w[cells].tolist()]
             continue
-        vals.real[cells] = logs.real[at]
         dtheta = same[at]
         cross = np.flatnonzero(at != ids[parents])
         dtheta[cross] = [cmath.phase(a / b) for a, b in
@@ -182,8 +181,9 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     if not (math.isfinite(eps_zero) and eps_zero > 0 and math.isfinite(tol)):
         raise PreconditionError(
             "eps_zero must be finite and positive, tol finite")
-    if not np.isfinite(np.abs(f.values[F.bits])).all():   # abs() may overflow
-        raise PreconditionError("|f| on the carrier must be finite")
+    with np.errstate(over="ignore"):                     # abs() may overflow
+        if not np.isfinite(np.abs(f.values[F.bits])).all():
+            raise PreconditionError("|f| on the carrier must be finite")
     # guards are written so that a NaN fails them
     if not (f.min_abs() >= eps_zero):
         raise PreconditionError(

@@ -251,8 +251,8 @@ class TestFeatureTransformsPerExtension:
 
 class TestScalarMathPerLift:
     """The unwrap's scalar ``math.log`` and ``cmath.phase`` run once per
-    distinct sample of V and once per tree edge joining two samples; per-cell
-    math would show as counts near V's cell count."""
+    distinct sample of V, once per root and once per tree edge joining two
+    samples; per-cell math would show as counts near V's cell count."""
 
     def test_loglift_command(self, monkeypatch):
         calls = Counter()
@@ -273,9 +273,10 @@ class TestScalarMathPerLift:
             v_cells.append(int(v.bits.sum())) or unwrap(v, *a, **k)))
         code, _ = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0 and v_cells == [10240]
-        # 66 distinct samples: log|z| and phase(z) each, phase(z / z) for
-        # edges inside one sample, and phase(a / b) on 65 cross edges
-        assert calls == {"log": 66, "phase": 2 * 66 + 65}
+        # 66 distinct samples, each on several cells: log|z| and phase(z / z)
+        # for edges inside one sample each, phase(z) at the one root and
+        # phase(a / b) on 65 cross edges
+        assert calls == {"log": 66, "phase": 66 + 1 + 65}
         assert max(calls.values()) < v_cells[0] / 10
 
 
