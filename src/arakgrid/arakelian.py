@@ -75,8 +75,7 @@ class Exhaustion:
         """Re-check the construction invariants; raises on violation."""
         grid = region.grid
         for k, K in enumerate(self.levels):
-            hs = holes(K, region)
-            if hs.count:
+            if holes(K, region).count:
                 raise ArakGridError(f"exhaustion level {self.level_ids[k]} has holes")
             if not K.issubset(region.omega):
                 raise ArakGridError("exhaustion level leaves the region")
@@ -197,20 +196,6 @@ class AlphaNeighborhood:
     carrier_hole_count: int
 
 
-def _carve(K: CellSet, region: RegionModel, fk_holes: HoleSet,
-           f_holes: HoleSet) -> AlphaNeighborhood:
-    """The alpha neighborhood from holes(F | K) and holes(F) on the region.
-
-    Removing the enclosed components of region - (F | K) leaves the other
-    components as they are, so (region + alpha) - (F | K | holes) is
-    connected exactly when no component of region - (F | K) is
-    window-ambiguous: no further labeling is needed.
-    """
-    w = region.omega - (K | fk_holes.union)
-    connected = f_holes.count == 0 and not fk_holes.ambiguous_labels
-    return AlphaNeighborhood(w, connected, f_holes.count)
-
-
 def alpha_neighborhood(F: CellSet, K: CellSet,
                        region: RegionModel) -> AlphaNeighborhood:
     """W = region minus (K and the hole union of F| K), with a flag.
@@ -218,10 +203,16 @@ def alpha_neighborhood(F: CellSet, K: CellSet,
     The flag certifies the full invariant the construction is used for: the
     carrier itself is hole-free AND W minus F, joined with alpha, is
     connected.  A carrier with its own hole therefore always flags False.
-    Two labelings: region - (F | K) and region - F; connectivity is read off
-    the first (see ``_carve``).
+    It reads holes(F | K) and holes(F), which a check on the region has
+    already labeled.  Removing the enclosed components of region - (F | K)
+    leaves the other components as they are, so (region + alpha) -
+    (F | K | holes) is connected exactly when no component of
+    region - (F | K) is window-ambiguous: no further labeling is needed.
     """
-    return _carve(K, region, holes(F | K, region), holes(F, region))
+    fk_holes, f_holes = holes(F | K, region), holes(F, region)
+    w = region.omega - (K | fk_holes.union)
+    connected = f_holes.count == 0 and not fk_holes.ambiguous_labels
+    return AlphaNeighborhood(w, connected, f_holes.count)
 
 
 @dataclass(eq=False)
@@ -297,8 +288,9 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
     is a fixed compact set observed through growing windows.
 
     Every window labels region - F once and region - (F | K) once per level.
-    The top-level alpha neighborhood reuses the base window's two hole sets;
-    only a schedule without the base grid labels them again.
+    The top-level alpha neighborhood reads the base window's two hole sets
+    back from the region (see ``holes``); only a schedule without the base
+    grid labels them again.
 
     Precedence: a hole of the carrier alone refutes; ambiguity is
     inconclusive; strict growth of some level's hole union across >= 3
@@ -312,7 +304,6 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
     per_window: list[list[ExtentRecord]] = []
     window_tops: list[float] = []
     reasons: list[str] = []
-    base_holes = None          # (holes(F | K_top), holes(F)) on the base window
 
     for g in window_schedule:
         on_base = g.key() == base_grid.key()
@@ -340,8 +331,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
 
         recs = []
         for k, K in enumerate(exh_g.levels):
-            fk = holes(F_g | K, region_g)
-            rec = _extent(fk, region_g, exh_g.level_ids[k])
+            rec = _extent(holes(F_g | K, region_g), region_g, exh_g.level_ids[k])
             if rec.n_ambiguous:
                 return ArakelianVerdict(
                     INCONCLUSIVE,
@@ -354,8 +344,6 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
             if rec.count and rec.min_bd_dist < region_g.grid.delta * 0.9:
                 reasons.append(
                     f"level {rec.level} hole union hugs the region boundary")
-        if on_base:
-            base_holes = (fk, hs)
         per_window.append(recs)
         window_tops.append(g.ymax)
 
@@ -383,9 +371,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                                 window_tops=window_tops)
 
     if not reasons:
-        top_K = exhaustion.levels[-1]
-        nbhd = alpha_neighborhood(F, top_K, region) if base_holes is None \
-            else _carve(top_K, region, *base_holes)
+        nbhd = alpha_neighborhood(F, exhaustion.levels[-1], region)
         if not nbhd.connected:
             return ArakelianVerdict(
                 INCONCLUSIVE, extents=per_window, window_tops=window_tops,

@@ -17,7 +17,7 @@ from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, Primitive, distance_field, rasterize_closed
 from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, RegionModel,
-                       compactified_complement_connected, label_components,
+                       compactified_complement_connected,
                        sphere_complement_connected)
 
 # routing preference: east, north, west, south
@@ -244,21 +244,17 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     Routing runs one 4-connected BFS per (stage, target kind) over the whole
     stage domain, O(cells) each.  The BFS never crosses between the domain's
     components, so every component sees the distances a BFS confined to it
-    would give.
+    would give.  Stage s's domain region - (F | K_s) is labeled by
+    ``holes(F | K_s, region)``, so a check run on the region has labeled it.
     """
     grid = region.grid
     if cover is None or not cover.disks:
         return EscapePlan([], CellSet.empty(grid))
 
-    levels = [None] + list(exhaustion.levels)        # levels[s] = K_s, K_0 empty
-    labelings: list = [None] * len(levels)
+    carriers = [F] + [F | K for K in exhaustion.levels]     # F | K_s, K_0 empty
 
     def lab_at(s):
-        if labelings[s] is None:
-            k_bits = np.zeros_like(F.bits) if s == 0 else levels[s].bits
-            dom = CellSet(grid, region.omega.bits & ~F.bits & ~k_bits)
-            labelings[s] = label_components(dom, 4, region)
-        return labelings[s]
+        return holes(carriers[s], region).labeling
 
     dist_cache: dict = {}
 
@@ -404,8 +400,7 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
             "two disjoint carriers in a punctured region can trap an annulus "
             "between them")
     for name, f in (("first", F1), ("second", F2)):
-        hs = holes(f, region)
-        if hs.count:
+        if holes(f, region).count:
             raise PreconditionError(f"{name} carrier has holes; not Arakelian")
 
     d1 = distance_field(F1).values

@@ -4,7 +4,6 @@ construction) zero set, build the neighborhood V, and unwrap a logarithm on
 V's cell graph whose exponential reproduces the samples exactly on F.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -108,6 +107,8 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     The tree is one ``_bfs_layers`` BFS from all roots.  The scalar math runs
     once per distinct sample (by bit pattern), root and cross-sample edge;
     the imaginary parts add up layer by layer, bit for bit as cell by cell.
+    Phases are ``math.atan2``, which unlike ``cmath.phase`` never raises on
+    underflow.
     """
     lab = label_components(v, 4)
     # first cell of each label in (i, j) order, i.e. column-first
@@ -133,19 +134,21 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     distinct, many = w[in_v[new]].tolist(), (np.bincount(ids[in_v]) > 1).tolist()
     del in_v, key, new
     logs = np.array([math.log(abs(z)) for z in distinct])
-    same = np.array([cmath.phase(z / z) if m else 0.0 for z, m in zip(distinct, many)])
+    same = np.array([math.atan2(q.imag, q.real) if m else 0.0
+                     for q, m in zip((z / z for z in distinct), many)])
 
     vals = np.zeros(w.size, dtype=np.complex128)
     for cells, parents in _bfs_layers(v.bits, seeds):
         at = ids[cells]
         vals.real[cells] = logs[at]
         if parents[0] < 0:                  # the roots: principal branch
-            vals.imag[cells] = [cmath.phase(z) for z in w[cells].tolist()]
+            vals.imag[cells] = [math.atan2(z.imag, z.real) for z in w[cells].tolist()]
             continue
         dtheta = same[at]
         cross = np.flatnonzero(at != ids[parents])
-        dtheta[cross] = [cmath.phase(a / b) for a, b in
-                         zip(w[cells[cross]].tolist(), w[parents[cross]].tolist())]
+        quots = [a / b for a, b in
+                 zip(w[cells[cross]].tolist(), w[parents[cross]].tolist())]
+        dtheta[cross] = [math.atan2(q.imag, q.real) for q in quots]
         if (np.abs(dtheta) >= math.pi * (1 - 1e-12)).any():
             raise ResolutionError(
                 "phase jump of at least pi along a tree edge; "

@@ -70,6 +70,7 @@ class RegionModel:
     window_border: np.ndarray = field(init=False)
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
     _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
+    _hole_sets: dict = field(init=False, default_factory=dict)    # see ``holes``
 
     def __post_init__(self, exits):
         if self.omega.is_empty():
@@ -225,16 +226,28 @@ class HoleSet:
 
 def holes(F: CellSet, region: RegionModel) -> HoleSet:
     """Holes of F in the region: components of region-minus-F that neither
-    touch the region boundary nor any declared-unbounded window edge."""
+    touch the region boundary nor any declared-unbounded window edge.
+
+    The one place a hole set is reused: the region keeps the last 4 returned,
+    keyed on F's cells, oldest evicted first, with read-only arrays.  So the
+    check, the alpha neighborhood and escape routing share each labeling."""
     if not F.issubset(region.omega):
         raise PreconditionError("carrier set must lie inside the region")
-    domain = region.omega - F
-    lab = label_components(domain, 4, region)
+    key = np.packbits(F.bits).tobytes()
+    kept = region._hole_sets
+    if key in kept:
+        return kept[key]
+    lab = label_components(region.omega - F, 4, region)
     hole_labels = tuple(np.flatnonzero(lab.alpha_reach == ENCLOSED).tolist())
     amb = tuple(np.flatnonzero(lab.alpha_reach == WINDOW_AMBIGUOUS).tolist())
     union = CellSet(region.grid, lab.reach_mask(ENCLOSED)) if hole_labels \
         else CellSet.empty(region.grid)
-    return HoleSet(hole_labels, union, len(hole_labels), amb, lab)
+    for a in (lab.labels, lab.sizes, lab.alpha_reach, union.bits):
+        a.flags.writeable = False
+    if len(kept) >= 4:              # escape routing reads K_0 ... K_3 at once
+        del kept[next(iter(kept))]
+    kept[key] = HoleSet(hole_labels, union, len(hole_labels), amb, lab)
+    return kept[key]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ fills, pairwise minima, linear scans.  None of it shares code with the
 package beyond the data types, except where a docstring says so.
 """
 
-import cmath
 import math
 from collections import deque
 
@@ -300,7 +299,7 @@ def bfs_unwrap(v_bits: np.ndarray, ext_values: np.ndarray,
         else:
             ri, rj = min((i, j) for j, i in zip(*np.nonzero(remaining)))
         w0 = complex(ext_values[rj, ri])
-        vals[rj, ri] = complex(math.log(abs(w0)), cmath.phase(w0))
+        vals[rj, ri] = complex(math.log(abs(w0)), math.atan2(w0.imag, w0.real))
         visited[rj, ri] = True
         queue = deque([(ri, rj)])
         while queue:
@@ -314,7 +313,8 @@ def bfs_unwrap(v_bits: np.ndarray, ext_values: np.ndarray,
                 if not v_bits[nj, ni] or visited[nj, ni]:
                     continue
                 wn = complex(ext_values[nj, ni])
-                dtheta = cmath.phase(wn / wi)
+                q = wn / wi
+                dtheta = math.atan2(q.imag, q.real)
                 if abs(dtheta) >= math.pi * (1 - 1e-12):
                     raise ResolutionError(
                         "phase jump of at least pi along a tree edge; "

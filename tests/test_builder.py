@@ -446,6 +446,20 @@ class TestBuildV:
         again = res.reverify(F, U, region)
         assert again == res.certificate
 
+    def test_reverify_sees_a_tampered_v(self):
+        # the region reuses hole sets by content, so a V with a hole that
+        # the build never saw is certified afresh, not read back
+        g, region = _plane(1 / 32)
+        F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
+        U = region.omega - _points(g, [(0, 1)])
+        res = build_v(F, U, region)
+        i, j = g.point_cell(-1.5, -1.5)
+        assert res.v.bits[j - 1:j + 2, i - 1:i + 2].all()
+        res.v = res.v - CellSet.from_cells(g, [(i, j)])
+        cert = res.reverify(F, U, region)
+        assert cert.f_in_v and cert.v_in_u
+        assert cert.complement_connected is False and not cert.ok()
+
     def test_shrinking_u_shrinks_v(self):
         g, region = _plane(1 / 32)
         F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)

@@ -247,6 +247,16 @@ class TestNonFiniteInput:
         assert "Warning" not in err and not caught
         assert "verified" not in out
 
+    def test_samples_with_underflowing_phases(self, tmp_path):
+        # phases near 1e-323 underflow; cmath.phase raised OverflowError on
+        # them, which escaped as exit 1 with a traceback
+        p = tmp_path / "tiny.scene"
+        p.write_text("grid -2 -2 2 2 0.25\nomega plane\n"
+                     "set F segment -1 0.5 1 0.5\nfn F poly:3,1e-323\n")
+        code, out, err = run(["loglift", str(p)])
+        assert code == 0 and "Traceback" not in out + err
+        assert "log lift verified" in out
+
     @pytest.mark.parametrize("args", [
         ["holes", scene("segment.scene"), "--with-k", "disk:0,0,inf"],
         ["refute", scene("segment.scene"), "--with-k", "disk:nan,0,1"],

@@ -334,6 +334,67 @@ class TestHoles:
             assert np.array_equal(hs.union.bits, want)
 
 
+def _edge_region(g):
+    """The whole window, unbounded past its north edge only: complements
+    here can be enclosed, reach alpha or be window-ambiguous."""
+    return custom_region(g, CellSet.full(g), unbounded_edges=("N",))
+
+
+def _hole_set_bytes(hs):
+    lab = hs.labeling
+    return (hs.hole_labels, hs.ambiguous_labels, hs.count, lab.n,
+            lab.labels.tobytes(), lab.sizes.tobytes(), lab.alpha_reach.tobytes(),
+            hs.union.bits.tobytes())
+
+
+class TestHoleSetsKept:
+    """``holes`` keeps the last hole sets it returned on the region, keyed on
+    the carrier's cells.  A repeat reads back a read-only hole set equal to
+    what a fresh region gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 5), min_size=7, max_size=24))
+    def test_matches_fresh_region(self, seed, picks):
+        # 6 carriers and at least 7 picks: every sequence repeats one
+        g = make_grid(0, 0, 9, 9, 1)
+        gen = np.random.default_rng(seed)
+        pool = [gen.random((9, 9)) < 0.4 for _ in range(6)]
+        region = _edge_region(g)
+        for k in picks:
+            F = CellSet(g, pool[k].copy())          # same cells, new object
+            got = holes(F, region)
+            assert _hole_set_bytes(got) == _hole_set_bytes(holes(F, _edge_region(g)))
+            assert len(region._hole_sets) <= 4
+
+    def test_repeat_is_the_same_hole_set(self):
+        g = make_grid(0, 0, 5, 5, 1)
+        region = plane_region(g)
+        hs = holes(_ring3(g), region)
+        assert holes(_ring3(g), region) is hs
+        for k in range(4):                          # evict it
+            holes(CellSet.from_cells(g, [(k, 0)]), region)
+        assert holes(_ring3(g), region) is not hs
+
+    @pytest.mark.parametrize("ring", [True, False], ids=["ring", "empty"])
+    def test_arrays_reject_writes(self, ring):
+        g = make_grid(0, 0, 5, 5, 1)
+        hs = holes(_ring3(g) if ring else CellSet.empty(g), plane_region(g))
+        lab = hs.labeling
+        for arr in (lab.labels, lab.sizes, lab.alpha_reach, hs.union.bits):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_same_bits_on_another_grid_raise(self):
+        g = make_grid(0, 0, 5, 5, 1)
+        region = plane_region(g)
+        F = _ring3(g)
+        holes(F, region)
+        other = make_grid(1, 0, 6, 5, 1)            # same shape, another window
+        with pytest.raises(InputError):
+            holes(CellSet(other, F.bits.copy()), region)
+
+
 class TestCompactified:
     def test_empty_g_connected(self):
         g = make_grid(0, 0, 6, 6, 1)

@@ -1,13 +1,12 @@
 """Work counts per CLI command: component labelings, region models,
 exhaustions, sphere-complement tests, boundary distance fields, exact
 distance (feature) transforms, |cell center| fields and the log lift's
-scalar ``math.log`` / ``cmath.phase`` calls.
+scalar ``math.log`` / ``math.atan2`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
 """
 
-import cmath
 import contextlib
 import io
 import math
@@ -69,11 +68,12 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
 
 class TestLabelingsPerCommand:
     def test_single_window_check(self, monkeypatch):
-        # 3 exhaustion fills, region - F, and region - (F | K) per level;
-        # the alpha neighborhood reuses the base window's hole sets
+        # 3 exhaustion fills, region - F and region - (F | K_1); K_2 and K_3
+        # hold F, so their hole sets are the fills', read back from the
+        # region like the alpha neighborhood's two
         code, n = count_work(monkeypatch, ["check", scene("segment.scene")])
         assert code == 0
-        assert n["labelings"] == 7
+        assert n["labelings"] == 5
         assert n["exhaustions"] == 1
 
     def test_holes_with_compact(self, monkeypatch):
@@ -85,21 +85,37 @@ class TestLabelingsPerCommand:
     def test_refute(self, monkeypatch):
         code, n = count_work(monkeypatch, ["refute", scene("nested_rings.scene")])
         assert code == 1
-        assert n["labelings"] <= 5
+        assert n["labelings"] == 4
 
     def test_union_reuses_part_certificates(self, monkeypatch):
         code, n = count_work(monkeypatch, ["union", scene("union_segments.scene")])
         assert code == 0
-        assert n["labelings"] <= 19
+        assert n["labelings"] == 17
         assert n["sphere_tests"] == 3
 
     def test_window_schedule_reuses_base_exhaustion(self, monkeypatch):
         code, n = count_work(monkeypatch, [
             "check", scene("intro_staircase.scene"), "--windows", "8,16,32"])
         assert code == 2
-        assert n["labelings"] <= 21
+        assert n["labelings"] == 20
         assert n["exhaustions"] == 3
         assert n["regions"] == 3
+
+    def test_build_v_reads_stage_domains_from_holes(self, monkeypatch):
+        # 3 exhaustion fills, escape routing's region - (F | K_1) (no disk
+        # routes in region - F; region - (F | K_2) and region - (F | K_3)
+        # are fills' domains), the complement of V and its sphere complement
+        code, n = count_work(monkeypatch, ["build-v", scene("segment.scene")])
+        assert code == 0
+        assert n["labelings"] == 6
+
+    def test_loglift(self, monkeypatch):
+        # 3 exhaustion fills and the unwrap's labeling of V; V and the top
+        # level are both the whole region, so the certificate's hole set is
+        # the top fill's, and V's sphere complement is empty
+        code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
+        assert code == 0
+        assert n["labelings"] == 4
 
 
 class TestHoleExtentsWhereRead:
@@ -187,12 +203,14 @@ class TestOneExhaustionPerRegion:
         verdict = arakelian.check_arakelian(
             F, region, arakelian.build_exhaustion(region, 3))
         assert verdict.status == "VERIFIED_UP_TO"
-        # 3 exhaustion fills, region - F, and region - (F | K) per level
-        assert n["labelings"] == 7
+        # 3 exhaustion fills, region - F and region - (F | K_1); K_2 and K_3
+        # hold F, so their hole sets are the fills', read back from the region
+        assert n["labelings"] == 5
         result = builder.build_v(F, region.omega - obstacles, region)
         assert result.certificate.ok() and len(result.cover.disks) == 2
-        # escape stages and the certificate only: no exhaustion fills
-        assert n["labelings"] == 12
+        # escape stages read the check's hole sets; the certificate labels
+        # the complement of V and the sphere complement
+        assert n["labelings"] == 7
 
 
 class TestBoundaryDistancePerRegion:
@@ -250,33 +268,33 @@ class TestFeatureTransformsPerExtension:
 
 
 class TestScalarMathPerLift:
-    """The unwrap's scalar ``math.log`` and ``cmath.phase`` run once per
+    """The unwrap's scalar ``math.log`` and ``math.atan2`` run once per
     distinct sample of V, once per root and once per tree edge joining two
     samples; per-cell math would show as counts near V's cell count."""
 
     def test_loglift_command(self, monkeypatch):
         calls = Counter()
 
-        def counting(module, name):
-            fn = getattr(module, name)
+        def counting(name):
+            fn = getattr(math, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
-            return SimpleNamespace(**{**vars(module), name: wrapper})
+            return wrapper
 
-        monkeypatch.setattr(loglift, "math", counting(math, "log"))
-        monkeypatch.setattr(loglift, "cmath", counting(cmath, "phase"))
+        monkeypatch.setattr(loglift, "math", SimpleNamespace(
+            **{**vars(math), "log": counting("log"), "atan2": counting("atan2")}))
         v_cells = []
         unwrap = loglift._unwrap_on
         monkeypatch.setattr(loglift, "_unwrap_on", lambda v, *a, **k: (
             v_cells.append(int(v.bits.sum())) or unwrap(v, *a, **k)))
         code, _ = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0 and v_cells == [10240]
-        # 66 distinct samples, each on several cells: log|z| and phase(z / z)
-        # for edges inside one sample each, phase(z) at the one root and
-        # phase(a / b) on 65 cross edges
-        assert calls == {"log": 66, "phase": 66 + 1 + 65}
+        # 66 distinct samples, each on several cells: log|z| and the phase
+        # of z / z for edges inside one sample each, the phase of z at the
+        # one root and of a / b on 65 cross edges
+        assert calls == {"log": 66, "atan2": 66 + 1 + 65}
         assert max(calls.values()) < v_cells[0] / 10
 
 
