@@ -7,6 +7,7 @@ can break continuous guarantees, so the certificate is the contract, and a
 failed certificate raises instead of returning.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -182,26 +183,33 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     return cover
 
 
-def _wave_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Escape routing's 4-connected BFS distances to the targets in the domain, or -1
-    (twin: ``oracles.bfs_distances``).  Distances need no queue order, so each layer
-    steps one direction at a time and claims its cells before the next: no sort."""
-    width = domain.shape[1] + 2
-    free = np.pad(domain, 1).ravel()                  # in domain, unvisited
-    frontier = np.flatnonzero(np.pad(targets & domain, 1))
-    free[frontier] = False
-    dist = np.full(free.size, -1, dtype=np.int32)
-    steps = [di + dj * width for di, dj in _STEPS]
-    d = 0
-    while frontier.size:
-        dist[frontier] = d
-        layer = []
-        for step in steps:
-            nbrs = frontier + step
-            layer.append(nbrs[free[nbrs]])
-            free[layer[-1]] = False
-        frontier, d = np.concatenate(layer), d + 1
-    return dist.reshape(-1, width)[1:-1, 1:-1]
+class _Wave:
+    """Escape routing's 4-connected BFS distances to the targets in the domain,
+    grown only as deep as asked (twin: ``oracles.bfs_distances``).  Distances
+    need no queue order, so each layer steps one direction at a time and
+    claims its cells before the next: no sort."""
+
+    def __init__(self, domain: np.ndarray, targets: np.ndarray):
+        self.width = domain.shape[1] + 2
+        self.free = np.pad(domain, 1).ravel()             # in domain, unvisited
+        self.frontier = np.flatnonzero(np.pad(targets & domain, 1))
+        self.free[self.frontier] = False
+        self.dist = np.full(self.free.size, -1, dtype=np.int32)
+        self.depth = 0                                    # layers run so far
+
+    def reach(self, cell: tuple[int, int]) -> np.ndarray:
+        """The distances, or -1, with every cell as near as ``cell`` set: whole
+        layers run until ``cell`` has its distance or the frontier is empty."""
+        at = (cell[1] + 1) * self.width + cell[0] + 1
+        while self.frontier.size and self.dist[at] < 0:
+            self.dist[self.frontier] = self.depth
+            layer = []
+            for di, dj in _STEPS:
+                nbrs = self.frontier + (di + dj * self.width)
+                layer.append(nbrs[self.free[nbrs]])
+                self.free[layer[-1]] = False
+            self.frontier, self.depth = np.concatenate(layer), self.depth + 1
+        return self.dist.reshape(-1, self.width)[1:-1, 1:-1]
 
 
 def _walk_down(start: tuple[int, int],
@@ -210,7 +218,9 @@ def _walk_down(start: tuple[int, int],
     preferring neighbors east, north, west, south at every step.
 
     A 4-neighbor at distance d - 1 >= 0 lies in the BFS domain and touches
-    the current cell, so the walk never leaves the start's component.
+    the current cell, so the walk never leaves the start's component.  An
+    unreached cell reads -1, so a ``_Wave`` grown to the start's depth gives
+    the path its full field gives.
     """
     i, j = start
     if dist[j, i] < 0:
@@ -241,31 +251,32 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     alpha-adjacent cell.  Paths avoid F throughout; neighbor preference is
     east, north, west, south.
 
-    Routing runs one 4-connected BFS per (stage, target kind) over the whole
-    stage domain, O(cells) each.  The BFS never crosses between the domain's
-    components, so every component sees the distances a BFS confined to it
-    would give.  Stage s's domain region - (F | K_s) is labeled by
-    ``holes(F | K_s, region)``, so a check run on the region has labeled it.
+    Routing grows one 4-connected BFS per (stage, target kind), shared by
+    the disks and run layer by layer only until each walk's start has its
+    distance.  The BFS never crosses between the domain's components, so
+    every component sees the distances a BFS confined to it would give.
+    Stage s's domain region - (F | K_s) is labeled by ``holes(F | K_s,
+    region)``, read once per call, so a check run on the region has labeled it.
     """
     grid = region.grid
     if cover is None or not cover.disks:
         return EscapePlan([], CellSet.empty(grid))
 
     carriers = [F] + [F | K for K in exhaustion.levels]     # F | K_s, K_0 empty
+    lab_at = functools.cache(lambda s: holes(carriers[s], region).labeling)
 
-    def lab_at(s):
-        return holes(carriers[s], region).labeling
+    def status(s, i, j):
+        """Stage s's alpha status of cell (i, j)'s component; None off its domain."""
+        lab = lab_at(s)
+        return None if lab.labels[j, i] < 0 else lab.alpha_reach[lab.labels[j, i]]
 
-    dist_cache: dict = {}
-
-    def distances(s, target):
-        """Distances in stage s's domain to the alpha-reaching components of
+    @functools.cache
+    def wave(s, target):
+        """The BFS in stage s's domain to the alpha-reaching components of
         stage ``target``, or to alpha-adjacent cells when it is None."""
-        if (s, target) not in dist_cache:
-            bits = region.alpha_adjacent if target is None else \
-                lab_at(target).reach_mask(REACHES_ALPHA)
-            dist_cache[s, target] = _wave_distances(lab_at(s).labels >= 0, bits)
-        return dist_cache[s, target]
+        bits = region.alpha_adjacent if target is None else \
+            lab_at(target).reach_mask(REACHES_ALPHA)
+        return _Wave(lab_at(s).labels >= 0, bits)
 
     top = len(exhaustion.levels)
     curves = []
@@ -273,19 +284,10 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     for disk in cover.disks:
         i, j = disk.center
         # deepest stage whose complement component still reaches alpha
-        m = None
-        for s in range(min(disk.annulus - 1, top), -1, -1):
-            lab = lab_at(s)
-            comp = int(lab.labels[j, i])
-            if comp < 0:
-                continue
-            if lab.alpha_reach[comp] == REACHES_ALPHA:
-                m = s
-                break
+        m = next((s for s in range(min(disk.annulus - 1, top), -1, -1)
+                  if status(s, i, j) == REACHES_ALPHA), None)
         if m is None:
-            lab0 = lab_at(0)
-            comp0 = int(lab0.labels[j, i])
-            if comp0 >= 0 and lab0.alpha_reach[comp0] == WINDOW_AMBIGUOUS:
+            if status(0, i, j) == WINDOW_AMBIGUOUS:
                 raise AmbiguousRegionError(
                     "escape from an obstacle is window-ambiguous; declare the "
                     "scene's unbounded edges")
@@ -297,19 +299,14 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
         cur = (i, j)
         s_here = m
         for s in range(m + 1, top + 1):
-            dist = distances(s_here, s)
-            seg = _walk_down(cur, dist)
+            seg = _walk_down(cur, wave(s_here, s).reach(cur))
             if seg is None:
                 break
-            end = seg[-1]
-            comp_here = int(lab_at(s).labels[end[1], end[0]])
-            stages.append(StageRecord(s, comp_here, seg))
-            cur = end
-            s_here = s
+            cur, s_here = seg[-1], s
+            stages.append(StageRecord(s, int(lab_at(s).labels[cur[1], cur[0]]), seg))
 
         comp_fin = int(lab_at(s_here).labels[cur[1], cur[0]])
-        dist = distances(s_here, None)
-        seg = _walk_down(cur, dist)
+        seg = _walk_down(cur, wave(s_here, None).reach(cur))
         if seg is None:
             raise BuildRefusalError(
                 "no path to an alpha-adjacent cell from a disk center")

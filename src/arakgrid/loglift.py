@@ -180,10 +180,10 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     if root_cell is not None and not (0 <= root_cell[0] < grid.ncols
                                       and 0 <= root_cell[1] < grid.nrows):
         raise PreconditionError(f"root cell {root_cell} lies outside the grid")
-    # eps_zero > 0 keeps every cell of V away from log(0)
-    if not (math.isfinite(eps_zero) and eps_zero > 0 and math.isfinite(tol)):
+    # eps_zero > 0 keeps every cell of V away from log(0); no residual meets a tol < 0
+    if not (math.isfinite(eps_zero) and eps_zero > 0 and 0 <= tol < math.inf):
         raise PreconditionError(
-            "eps_zero must be finite and positive, tol finite")
+            "eps_zero must be finite and positive, tol finite and non-negative")
     with np.errstate(over="ignore"):                     # abs() may overflow
         if not np.isfinite(np.abs(f.values[F.bits])).all():
             raise PreconditionError("|f| on the carrier must be finite")

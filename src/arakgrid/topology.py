@@ -285,16 +285,17 @@ def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:
     The graph is the whole window minus G (the region's complement cells are
     part of it) plus a virtual infinity node adjacent to every window-border
     cell.  Only meaningful, and only allowed, on regions declared simply
-    connected.
+    connected.  On a region filling the window, ~G is region - G, and the
+    answer is whether ``holes(G, region)`` finds no hole.
     """
     if not region.simply_connected:
         raise NotSimplyConnectedError(
             "sphere-complement test requires a region declared simply connected")
     if not G.issubset(region.omega):
         raise PreconditionError("G must lie inside the region")
-    domain = CellSet(region.grid, ~G.bits)
-    if domain.is_empty():
-        return True
+    if region.omega.bits.all():
+        return holes(G, region).count == 0
+    domain = CellSet(region.grid, ~G.bits)     # never empty: omega is not the window
     lab = label_components(domain, 4)
     border_hits = np.bincount(
         lab.labels[region.window_border & domain.bits], minlength=lab.n)

@@ -101,6 +101,16 @@ def naive_alpha_neighborhood(omega: np.ndarray, f_bits: np.ndarray,
     return w, connected, f_count
 
 
+def naive_sphere_connected(g_bits: np.ndarray) -> bool:
+    """Connectivity of the whole window minus G plus a point at infinity
+    beside every window-border cell: each flood-filled component of the
+    complement must touch the window border."""
+    labels = flood_components(~g_bits, 4)
+    border = np.zeros_like(g_bits)
+    border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
+    return set(labels[labels >= 0].tolist()) <= set(labels[border].tolist())
+
+
 def brute_distances(source: np.ndarray, delta: float) -> np.ndarray:
     """Pairwise-minimum center distances to the source cells."""
     nrows, ncols = source.shape

@@ -12,7 +12,7 @@ from arakgrid import (BuildRefusalError, CellSet,
                       escape_curves, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
                       refutation_blocks_build, refute_witness)
-from arakgrid.builder import _wave_distances
+from arakgrid.builder import _Wave, _walk_down
 from arakgrid.scene import parse_scene
 
 from oracles import (bfs_distances, bfs_path_ok, disk_cover_reference,
@@ -265,7 +265,17 @@ def _around_centre(k):
     return t
 
 
+def _exhausted(domain, targets):
+    """The wave's field once every cell of the grid has been asked for."""
+    wave = _Wave(domain, targets)
+    for j, i in np.ndindex(domain.shape):
+        dist = wave.reach((i, j))
+    return dist
+
+
 class TestWaveDistances:
+    """``_Wave`` against the full-depth oracle, asked cell by cell."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.data())
     def test_matches_oracle_on_random_masks(self, nrows, ncols, data):
@@ -273,9 +283,18 @@ class TestWaveDistances:
         masks = st.lists(st.booleans(), min_size=n, max_size=n)
         domain = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
         targets = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
-        got = _wave_distances(domain, targets)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, bfs_distances(domain, targets))
+        full = bfs_distances(domain, targets)
+        cells = st.tuples(st.integers(0, ncols - 1), st.integers(0, nrows - 1))
+        wave, deepest = _Wave(domain, targets), -1
+        for i, j in data.draw(st.lists(cells, max_size=8)):
+            got = wave.reach((i, j))
+            assert got.dtype == np.int32
+            # an unreached cell, in the domain or not, runs the wave dry
+            deepest = max(deepest, full[j, i] if full[j, i] >= 0 else full.max())
+            assert np.array_equal(got[got >= 0], full[got >= 0])
+            assert (got[(full >= 0) & (full <= deepest)] >= 0).all()
+            assert wave.depth <= deepest + 1           # no layer past the ask
+            assert _walk_down((i, j), got) == _walk_down((i, j), full)
 
     @pytest.mark.parametrize("domain, targets", [
         (np.ones((5, 7), dtype=bool), np.zeros((5, 7), dtype=bool)),
@@ -297,12 +316,12 @@ class TestWaveDistances:
             "checkerboard-all", "serpentine", "reached-from-4",
             "reached-from-3", "reached-from-2", "targets-beside-serpentine"])
     def test_edge_cases_match_oracle(self, domain, targets):
-        got = _wave_distances(domain, targets)
+        got = _exhausted(domain, targets)
         assert got.dtype == np.int32
         assert np.array_equal(got, bfs_distances(domain, targets))
 
     def test_free_grid_is_manhattan(self):
-        got = _wave_distances(np.ones((6, 8), dtype=bool), _corner(6, 8))
+        got = _exhausted(np.ones((6, 8), dtype=bool), _corner(6, 8))
         jj, ii = np.indices((6, 8))
         assert np.array_equal(got, ii + jj)
 

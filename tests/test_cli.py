@@ -263,6 +263,8 @@ class TestNonFiniteInput:
         ["check", scene("segment.scene"), "--windows", "2,inf"],
         ["loglift", scene("loglift_line.scene"), "--tol", "nan"],
         ["loglift", scene("loglift_line.scene"), "--eps-zero", "nan"],
+        # no residual meets a negative tol: once the whole lift ran, then exit 1
+        ["loglift", scene("loglift_line.scene"), "--tol", "-1"],
     ])
     def test_flags(self, args):
         code, out, err = run(args)

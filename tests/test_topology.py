@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arakgrid import (CellSet, InputError, NotSimplyConnectedError,
@@ -13,7 +13,8 @@ from arakgrid import topology
 from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
-from oracles import flood_components, naive_dilate, naive_holes, naive_reach
+from oracles import (flood_components, naive_dilate, naive_holes, naive_reach,
+                     naive_sphere_connected)
 
 rng = np.random.default_rng(20250810)
 
@@ -458,6 +459,33 @@ class TestSphere:
                 assert rep.connected == sph
                 agree += 1
         assert agree == 512          # nothing ambiguous in an interior block
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10),
+           st.sampled_from(["plane", "full", "partial"]), st.data())
+    def test_matches_flood_fill_oracle(self, nrows, ncols, kind, data):
+        # a region filling the window reads the holes of G; others label ~G
+        g = make_grid(0, 0, ncols, nrows, 1)
+        n = nrows * ncols
+
+        def bits():
+            drawn = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            return np.array(drawn, dtype=bool).reshape(nrows, ncols)
+
+        if kind == "plane":
+            region = plane_region(g)
+        elif kind == "full":
+            edges = data.draw(st.lists(st.sampled_from("NSEW"), unique=True))
+            region = custom_region(g, CellSet.full(g), unbounded_edges=edges,
+                                   extra_unbounded=bits(), simply_connected=True)
+        else:
+            omega = bits()
+            assume(omega.any() and not omega.all())
+            region = custom_region(g, CellSet(g, omega), simply_connected=True)
+        G = CellSet(g, bits() & region.omega.bits)
+        assert sphere_complement_connected(G, region) is \
+            naive_sphere_connected(G.bits)
 
 
 class TestJordanDuality:

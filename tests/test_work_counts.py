@@ -1,7 +1,7 @@
 """Work counts per CLI command: component labelings, region models,
 exhaustions, sphere-complement tests, boundary distance fields, exact
-distance (feature) transforms, |cell center| fields and the log lift's
-scalar ``math.log`` / ``math.atan2`` calls.
+distance (feature) transforms, |cell center| fields, escape routing's BFS
+layers and the log lift's scalar ``math.log`` / ``math.atan2`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -55,6 +55,14 @@ def install_counters(monkeypatch) -> Counter:
                         counting("edts", grid.ndimage.distance_transform_edt))
     monkeypatch.setattr(grid.GridSpec, "center_abs",
                         counting("center_abs", grid.GridSpec.center_abs))
+    reach = builder._Wave.reach
+
+    def counting_layers(wave, cell):
+        before = wave.depth
+        dist = reach(wave, cell)
+        counts["bfs_layers"] += wave.depth - before
+        return dist
+    monkeypatch.setattr(builder._Wave, "reach", counting_layers)
     return counts
 
 
@@ -88,9 +96,11 @@ class TestLabelingsPerCommand:
         assert n["labelings"] == 4
 
     def test_union_reuses_part_certificates(self, monkeypatch):
+        # each of the 3 sphere tests on the plane reads back its certificate's
+        # labeling of V's complement
         code, n = count_work(monkeypatch, ["union", scene("union_segments.scene")])
         assert code == 0
-        assert n["labelings"] == 17
+        assert n["labelings"] == 14
         assert n["sphere_tests"] == 3
 
     def test_window_schedule_reuses_base_exhaustion(self, monkeypatch):
@@ -104,10 +114,11 @@ class TestLabelingsPerCommand:
     def test_build_v_reads_stage_domains_from_holes(self, monkeypatch):
         # 3 exhaustion fills, escape routing's region - (F | K_1) (no disk
         # routes in region - F; region - (F | K_2) and region - (F | K_3)
-        # are fills' domains), the complement of V and its sphere complement
+        # are fills' domains) and the complement of V, whose hole set the
+        # sphere test on the plane reads back
         code, n = count_work(monkeypatch, ["build-v", scene("segment.scene")])
         assert code == 0
-        assert n["labelings"] == 6
+        assert n["labelings"] == 5
 
     def test_loglift(self, monkeypatch):
         # 3 exhaustion fills and the unwrap's labeling of V; V and the top
@@ -116,6 +127,20 @@ class TestLabelingsPerCommand:
         code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0
         assert n["labelings"] == 4
+
+
+class TestEscapeLayers:
+    """Each escape BFS runs only as deep as the deepest walk start it is
+    asked about; running every BFS dry would show as 57 and 176 layers."""
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["build-v", "segment.scene"], 34),
+        (["union", "union_segments.scene"], 166),
+    ], ids=["build-v", "union"])
+    def test_layers(self, monkeypatch, argv, layers):
+        code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
+        assert code == 0
+        assert n["bfs_layers"] == layers
 
 
 class TestHoleExtentsWhereRead:
@@ -209,8 +234,8 @@ class TestOneExhaustionPerRegion:
         result = builder.build_v(F, region.omega - obstacles, region)
         assert result.certificate.ok() and len(result.cover.disks) == 2
         # escape stages read the check's hole sets; the certificate labels
-        # the complement of V and the sphere complement
-        assert n["labelings"] == 7
+        # the complement of V once, for both of its tests
+        assert n["labelings"] == 6
 
 
 class TestBoundaryDistancePerRegion:
