@@ -75,16 +75,9 @@ class Certificate:
     part_sphere_connected: tuple | None = None
 
     def ok(self) -> bool:
-        if not (self.f_in_v and self.v_in_u and self.complement_connected):
-            return False
-        if self.sphere_connected is False:
-            return False
-        if self.parts_disjoint is False:
-            return False
-        if self.part_sphere_connected is not None and \
-                not all(self.part_sphere_connected):
-            return False
-        return True
+        """No fact that ``to_dict`` lists is False."""
+        facts = self.to_dict()
+        return False not in [*facts.values(), *facts.get("part_sphere_connected", ())]
 
     def to_dict(self) -> dict:
         d = {

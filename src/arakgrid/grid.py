@@ -373,7 +373,10 @@ def clip_ray(origin, direction, grid):
     the window, or ``None`` when the ray misses the window entirely.
     """
     ox, oy = origin
-    dx, dy = direction
+    # scaled so its larger component is 1: _slab reads a component below
+    # 1e-300 as 0, and a tiny direction would otherwise vanish whole
+    scale = max(abs(direction[0]), abs(direction[1]))
+    dx, dy = direction[0] / scale, direction[1] / scale
     lo = np.array([grid.xmin]), np.array([grid.ymin])
     hi = np.array([grid.xmax]), np.array([grid.ymax])
     txmin, txmax = _slab(lo[0], hi[0], ox, dx)

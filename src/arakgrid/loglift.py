@@ -78,9 +78,10 @@ def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
     Yields ``(cells, parents)`` as flat indices in FIFO queue order: the
     seeds first (parents -1), then per layer each cell with the first queued
     cell of the previous layer that reaches it along ``_STEPS``.  The unwrap's
-    bit-for-bit sums rest on this rule, at one sort per layer.  O(cells)."""
+    bit-for-bit sums rest on this rule.  O(cells)."""
     width = domain.shape[1] + 2
     free = np.pad(domain, 1).ravel()                  # in domain, unvisited
+    claim = np.full(free.size, np.iinfo(np.int64).max)
     frontier = np.flatnonzero(np.pad(seeds & domain, 1))
     parents = np.full(frontier.size, -1)
     steps = np.array([di + dj * width for di, dj in _STEPS])
@@ -90,8 +91,12 @@ def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
         yield cells, parents
         nbrs = (frontier[:, None] + steps).ravel()
         hit = np.flatnonzero(free[nbrs])
-        # first occurrence of each new cell, back in queue order
-        first = hit[np.sort(np.unique(nbrs[hit], return_index=True)[1])]
+        # each new cell's least slot is its first occurrence; ``hit`` ascends,
+        # so ``first`` is in queue order.  Claimed cells leave ``free``, so
+        # ``claim`` is never read again for them and needs no reset.
+        new = nbrs[hit]
+        np.minimum.at(claim, new, hit)
+        first = hit[claim[new] == hit]
         parents = cells[first // steps.size]
         frontier = nbrs[first]
 

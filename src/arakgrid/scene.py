@@ -20,6 +20,10 @@ Grammar (one directive per line, ``#`` starts a comment):
     fixture ex_2_11 N
     fn <set> const:<c> | identity | exp | poly:<c0,c1,...>
 
+A shape's numbers follow ``Primitive``'s field order, its points flattened
+and then its radius; ``_ARITY`` and ``_OMEGA_ARITY`` hold how many each
+shape takes, and the parser and the printer read them from there.
+
 Repeated ``set`` lines accumulate primitives under the same name.  Fixture
 lines expand deterministically against the scene's own grid; the two
 step-curve fixtures adapt their spacing to the cell size so every corridor
@@ -37,10 +41,16 @@ from .errors import InputError, SceneParseError
 from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, make_grid,
                    rasterize_closed, rasterize_open_disk, rasterize_open_rect,
                    ray_exit_cells)
-from .topology import RegionModel, custom_region
+from .topology import _EDGES, RegionModel, custom_region
 
-_EDGE_NAMES = ("N", "S", "E", "W", "all")
-_CANON_EDGES = ("N", "S", "E", "W")
+_CANON_EDGES = tuple(_EDGES)
+_EDGE_NAMES = (*_CANON_EDGES, "all")
+
+# Numbers per shape (see the module docstring).  A polyline takes any even
+# count of at least 4; a bracket takes one integer.
+_ARITY = {"segment": 4, "circle": 3, "disk": 3, "rect": 4, "ray": 4,
+          "point": 2, "staircase": 0}
+_OMEGA_ARITY = {"plane": 0, "disk": 3, "punctured_disk": 3, "rect": 4}
 
 
 @dataclass(frozen=True)
@@ -140,49 +150,29 @@ def _floats(parts, n, lineno, what):
 
 
 def _parse_primitive(parts, lineno) -> Primitive:
-    kind = parts[0]
-    args = parts[1:]
+    kind, args = parts[0], parts[1:]
+    if kind == "bracket":
+        if len(args) != 1:
+            raise SceneParseError(lineno, "bracket expects one integer")
+        try:
+            v = [int(args[0])]
+        except ValueError as exc:
+            raise SceneParseError(lineno, f"bad bracket index: {exc}") from exc
+    elif kind == "polyline":
+        if len(args) < 4 or len(args) % 2:
+            raise SceneParseError(lineno, "polyline expects an even number "
+                                          "of coordinates, at least 4")
+        v = _floats(args, len(args), lineno, kind)
+    elif kind in _ARITY:
+        v = _floats(args, _ARITY[kind], lineno, kind)
+    else:
+        raise SceneParseError(lineno, f"unknown primitive {kind!r}")
+    pairs = list(zip(v[::2], v[1::2]))
+    make = getattr(Primitive, kind)
     try:
-        if kind == "segment":
-            v = _floats(args, 4, lineno, "segment")
-            return Primitive.segment((v[0], v[1]), (v[2], v[3]))
-        if kind == "circle":
-            v = _floats(args, 3, lineno, "circle")
-            return Primitive.circle((v[0], v[1]), v[2])
-        if kind == "disk":
-            v = _floats(args, 3, lineno, "disk")
-            return Primitive.disk((v[0], v[1]), v[2])
-        if kind == "rect":
-            v = _floats(args, 4, lineno, "rect")
-            return Primitive.rect((v[0], v[1]), (v[2], v[3]))
-        if kind == "ray":
-            v = _floats(args, 4, lineno, "ray")
-            return Primitive.ray((v[0], v[1]), (v[2], v[3]))
-        if kind == "point":
-            v = _floats(args, 2, lineno, "point")
-            return Primitive.point((v[0], v[1]))
-        if kind == "polyline":
-            if len(args) < 4 or len(args) % 2:
-                raise SceneParseError(lineno, "polyline expects an even number "
-                                              "of coordinates, at least 4")
-            v = _floats(args, len(args), lineno, "polyline")
-            return Primitive.polyline(list(zip(v[::2], v[1::2])))
-        if kind == "staircase":
-            if args:
-                raise SceneParseError(lineno, "staircase takes no parameters")
-            return Primitive.staircase()
-        if kind == "bracket":
-            if len(args) != 1:
-                raise SceneParseError(lineno, "bracket expects one integer")
-            try:
-                return Primitive.bracket(int(args[0]))
-            except ValueError as exc:
-                raise SceneParseError(lineno, f"bad bracket index: {exc}") from exc
-    except SceneParseError:
-        raise                       # already names its line
+        return make(pairs) if kind == "polyline" else make(*pairs, *v[2 * len(pairs):])
     except InputError as exc:
         raise SceneParseError(lineno, str(exc)) from exc
-    raise SceneParseError(lineno, f"unknown primitive {kind!r}")
 
 
 def _complex(text: str, lineno, what) -> complex:
@@ -203,8 +193,6 @@ def _parse_fn(token: str, lineno) -> FnSpec:
     if token.startswith("poly:"):
         coeffs = tuple(_complex(c, lineno, "coefficients")
                        for c in token[5:].split(","))
-        if not coeffs:
-            raise SceneParseError(lineno, "poly needs at least one coefficient")
         return FnSpec("poly", coeffs)
     raise SceneParseError(lineno, f"unknown builtin function {token!r}")
 
@@ -238,20 +226,12 @@ def parse_scene(text: str) -> Scene:
             if len(parts) < 2:
                 raise SceneParseError(lineno, "omega needs a shape")
             shape = parts[1]
-            if shape == "plane":
-                if len(parts) != 2:
-                    raise SceneParseError(lineno, "omega plane takes no parameters")
-                omega = ("plane",)
-            elif shape in ("disk", "punctured_disk"):
-                v = _floats(parts[2:], 3, lineno, f"omega {shape}")
-                if v[2] <= 0:
-                    raise SceneParseError(lineno, "omega radius must be positive")
-                omega = (shape, *v)
-            elif shape == "rect":
-                v = _floats(parts[2:], 4, lineno, "omega rect")
-                omega = ("rect", *v)
-            else:
+            if shape not in _OMEGA_ARITY:
                 raise SceneParseError(lineno, f"unknown omega shape {shape!r}")
+            v = _floats(parts[2:], _OMEGA_ARITY[shape], lineno, f"omega {shape}")
+            if shape in ("disk", "punctured_disk") and v[2] <= 0:
+                raise SceneParseError(lineno, "omega radius must be positive")
+            omega = (shape, *v)
         elif key == "unbounded":
             if len(parts) != 2 or parts[1] not in _EDGE_NAMES:
                 raise SceneParseError(lineno, "unbounded expects one of N S E W all")
@@ -338,22 +318,12 @@ def _expand_fixture(fx, lineno, grid, sets, omega):
 
 def print_scene(scene: Scene) -> str:
     """Canonical text for a scene; parsing it back reproduces the scene."""
-    lines = [
-        f"grid {_fmt(scene.grid.xmin)} {_fmt(scene.grid.ymin)} "
-        f"{_fmt(scene.grid.xmax)} {_fmt(scene.grid.ymax)} {_fmt(scene.grid.delta)}"
-    ]
-    kind = scene.omega_decl[0]
-    if kind == "plane":
-        lines.append("omega plane")
-    else:
-        params = " ".join(_fmt(v) for v in scene.omega_decl[1:])
-        lines.append(f"omega {kind} {params}")
-    if "all" in scene.unbounded:
-        lines.append("unbounded all")
-    else:
-        for e in _CANON_EDGES:
-            if e in scene.unbounded:
-                lines.append(f"unbounded {e}")
+    g = scene.grid
+    edges = ("all",) if "all" in scene.unbounded else \
+        [e for e in _CANON_EDGES if e in scene.unbounded]
+    lines = [_words("grid", g.xmin, g.ymin, g.xmax, g.ymax, g.delta),
+             _words(f"omega {scene.omega_decl[0]}", *scene.omega_decl[1:]),
+             *(f"unbounded {e}" for e in edges)]
     for name in sorted(scene.sets):
         for p in scene.sets[name]:
             lines.append(f"set {name} {_primitive_text(p)}")
@@ -363,29 +333,13 @@ def print_scene(scene: Scene) -> str:
 
 
 def _primitive_text(p: Primitive) -> str:
-    if p.kind == "segment":
-        (a, b) = p.pts
-        return f"segment {_fmt(a[0])} {_fmt(a[1])} {_fmt(b[0])} {_fmt(b[1])}"
-    if p.kind in ("circle", "disk"):
-        (c,) = p.pts
-        return f"{p.kind} {_fmt(c[0])} {_fmt(c[1])} {_fmt(p.r)}"
-    if p.kind == "rect":
-        (a, b) = p.pts
-        return f"rect {_fmt(a[0])} {_fmt(a[1])} {_fmt(b[0])} {_fmt(b[1])}"
-    if p.kind == "ray":
-        (o, d) = p.pts
-        return f"ray {_fmt(o[0])} {_fmt(o[1])} {_fmt(d[0])} {_fmt(d[1])}"
-    if p.kind == "point":
-        (a,) = p.pts
-        return f"point {_fmt(a[0])} {_fmt(a[1])}"
-    if p.kind == "polyline":
-        coords = " ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in p.pts)
-        return f"polyline {coords}"
-    if p.kind == "staircase":
-        return "staircase"
-    if p.kind == "bracket":
-        return f"bracket {p.n}"
-    raise InputError(f"cannot print primitive {p.kind!r}")
+    radius = (p.r,) if p.kind in ("circle", "disk") else ()
+    text = _words(p.kind, *(c for pt in p.pts for c in pt), *radius)
+    return f"{text} {p.n}" if p.kind == "bracket" else text
+
+
+def _words(head: str, *nums) -> str:
+    return " ".join([head, *map(_fmt, nums)])
 
 
 def scenes_equivalent(a: Scene, b: Scene) -> bool:

@@ -97,16 +97,13 @@ class RegionModel:
         ``inf`` everywhere when every edge is declared.
         """
         g = self.grid
-        X, Y = g.center_mesh()
+        xs, ys = g.center_axes()
+        ys = ys[:, None]
         out = np.full((g.nrows, g.ncols), np.inf)
-        if "N" not in self.declared_edges:
-            out = np.minimum(out, g.ymax - Y)
-        if "S" not in self.declared_edges:
-            out = np.minimum(out, Y - g.ymin)
-        if "E" not in self.declared_edges:
-            out = np.minimum(out, g.xmax - X)
-        if "W" not in self.declared_edges:
-            out = np.minimum(out, X - g.xmin)
+        gaps = (g.ymax - ys, ys - g.ymin, g.xmax - xs, xs - g.xmin)   # N S E W
+        for edge, gap in zip(_EDGES, gaps):
+            if edge not in self.declared_edges:
+                out = np.minimum(out, gap)
         return out
 
     def boundary_distance(self) -> np.ndarray:

@@ -146,6 +146,17 @@ class TestRasterize:
         assert rasterize_closed(prims, g).is_empty()
         assert ray_exit_cells(prims, g) == []
 
+    @pytest.mark.parametrize("tiny, unit", [((1e-310, 0.0), (1.0, 0.0)),
+                                            ((1e-310, 1e-310), (1.0, 1.0)),
+                                            ((0.0, -1e-305), (0.0, -1.0))])
+    def test_tiny_ray_direction_matches_unit_twin(self, tiny, unit):
+        g = make_grid(-2, -2, 2, 2, 0.5)
+        got = [Primitive.ray((0.1, 0.1), tiny)]
+        want = [Primitive.ray((0.1, 0.1), unit)]
+        assert rasterize_closed(got, g).same_cells(rasterize_closed(want, g))
+        assert ray_exit_cells(got, g) == ray_exit_cells(want, g)
+        assert ray_exit_cells(want, g)
+
     def test_polyline_needs_two_points(self):
         with pytest.raises(InputError):
             Primitive.polyline([(0, 0)])

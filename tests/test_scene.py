@@ -2,9 +2,34 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakgrid import SceneParseError, parse_scene, print_scene, scenes_equivalent
-from arakgrid.grid import ray_exit_cells
+from arakgrid.grid import Primitive, make_grid, ray_exit_cells
+from arakgrid.scene import Scene
+
+_num = st.floats(allow_nan=False, allow_infinity=False)
+_pos = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_pt = st.tuples(_num, _num)
+_primitives = st.one_of(
+    st.builds(Primitive.segment, _pt, _pt),
+    st.builds(Primitive.circle, _pt, _pos),
+    st.builds(Primitive.disk, _pt, _pos),
+    st.builds(Primitive.rect, _pt, _pt),
+    st.builds(Primitive.ray, _pt, _pt.filter(lambda d: d != (0.0, 0.0))),
+    st.builds(Primitive.point, _pt),
+    st.builds(Primitive.polyline, st.lists(_pt, min_size=2, max_size=6)),
+    st.builds(Primitive.bracket, st.integers(1, 10**6)),
+    st.just(Primitive.staircase()),
+)
+_omegas = st.one_of(
+    st.just(("plane",)),
+    st.tuples(st.sampled_from(["disk", "punctured_disk"]), _num, _num, _pos),
+    st.tuples(st.just("rect"), _num, _num, _num, _num),
+)
+_unbounded = st.one_of(st.just(("all",)),
+                       st.lists(st.sampled_from("NSEW"), unique=True).map(tuple))
 
 
 class TestParse:
@@ -57,6 +82,13 @@ class TestParse:
             ("grid 0 0 1 1 0.5\nset F staircase 1\n", 2),
             ("grid 0 0 1 1 0.5\nset F bracket 1 2\n", 2),
             ("grid 0 0 1 1 0.5\nset F bracket 0\n", 2),
+            ("grid 0 0 1 1 0.5\nset F circle 0 0\n", 2),             # arity
+            ("grid 0 0 1 1 0.5\nset F ray 0 0 1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F point 1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F rect 0 0 1\n", 2),
+            ("grid 0 0 1 1 0.5\nomega disk 0 0\n", 2),
+            ("grid 0 0 1 1 0.5\nomega plane 1\n", 2),
+            ("grid 0 0 1 1 0.5\nset F blob 0 0\n", 2),               # unknown kind
         ]
         for text, lineno in cases:
             with pytest.raises(SceneParseError) as err:
@@ -114,6 +146,19 @@ class TestRoundTrip:
         second = parse_scene(printed)
         assert scenes_equivalent(first, second)
         assert print_scene(second) == printed      # printing is stable
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["F", "G", "obstacles"]),
+                           st.lists(_primitives, min_size=1, max_size=4)),
+           _omegas, _unbounded)
+    def test_random_scenes_survive_print_parse(self, sets, omega, unbounded):
+        scene = Scene(make_grid(-2, -2, 2, 2, 0.5), omega, unbounded, sets)
+        printed = print_scene(scene)
+        back = parse_scene(printed)
+        assert back.sets == sets
+        assert back.omega_decl == omega
+        assert set(back.unbounded) == set(unbounded)
+        assert print_scene(back) == printed
 
 
 class TestSceneToRegion:
