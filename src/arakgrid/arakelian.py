@@ -193,7 +193,6 @@ class AlphaNeighborhood:
 
     w: CellSet
     connected: bool
-    carrier_hole_count: int
 
 
 def alpha_neighborhood(F: CellSet, K: CellSet,
@@ -209,10 +208,10 @@ def alpha_neighborhood(F: CellSet, K: CellSet,
     (F | K | holes) is connected exactly when no component of
     region - (F | K) is window-ambiguous: no further labeling is needed.
     """
-    fk_holes, f_holes = holes(F | K, region), holes(F, region)
+    fk_holes = holes(F | K, region)
     w = region.omega - (K | fk_holes.union)
-    connected = f_holes.count == 0 and not fk_holes.ambiguous_labels
-    return AlphaNeighborhood(w, connected, f_holes.count)
+    connected = holes(F, region).count == 0 and not fk_holes.ambiguous_labels
+    return AlphaNeighborhood(w, connected)
 
 
 @dataclass(eq=False)
@@ -261,14 +260,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 def _refuted_verdict(hs, region: RegionModel) -> ArakelianVerdict:
     cells = hs.witness_cells()
     points = [region.grid.cell_center(i, j) for i, j in cells]
-    first = hs.hole_labels[0]
-    witness = {
-        "cell": list(cells[0]),
-        "point": list(points[0]),
-        "hole_size": int(hs.labeling.sizes[first]),
-        "hole_count": hs.count,
-        "max_abs": float(region.grid.center_abs()[hs.union.bits].max()),
-    }
+    witness = {"cell": list(cells[0]), "point": list(points[0])}
     return ArakelianVerdict(REFUTED, witness=witness,
                             witnesses=[list(p) for p in points])
 

@@ -95,8 +95,6 @@ def _parse_with_k(arg: str | None, grid) -> CellSet:
         cx, cy, r = (float(v) for v in arg[5:].split(","))
     except ValueError as exc:
         raise InputError(f"bad --with-k parameters: {exc}") from exc
-    if not all(math.isfinite(v) for v in (cx, cy, r)):
-        raise InputError("--with-k parameters must be finite")
     return rasterize_closed([Primitive.disk((cx, cy), r)], grid)
 
 
@@ -172,12 +170,14 @@ def _cmd_refute(args, scene: Scene, region: RegionModel) -> _Outcome:
     K = _parse_with_k(args.with_k, scene.grid)
     wit = bd.refute_witness(F, region, K)
     blocked = bd.refutation_blocks_build(F, wit.u, region)
-    report = _report("REFUTED", [list(p) for p in wit.points],
+    # witnesses refute only when they block the build; otherwise say so
+    report = _report("REFUTED" if blocked else "INCONCLUSIVE",
+                     [list(p) for p in wit.points],
                      {"witness_count": len(wit.points),
                       "blocks_construction": blocked})
     lines = [f"witness points ({len(wit.points)}): {wit.points}",
              f"construction blocked on the punctured set: {blocked}"]
-    return _EXITS["negative"], report, lines
+    return _EXITS["negative" if blocked else "inconclusive"], report, lines
 
 
 def _cmd_union(args, scene: Scene, region: RegionModel) -> _Outcome:

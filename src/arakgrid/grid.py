@@ -205,12 +205,12 @@ class CellSet:
         return [(int(i), int(j)) for j, i in zip(js, iis)]
 
     def min_cell(self) -> tuple[int, int]:
-        """Lexicographically smallest member (i, j); column-first order."""
-        if self.is_empty():
+        """Lexicographically smallest member (i, j): the first set bit of the
+        transposed bits, which run column-first."""
+        i, j = divmod(int(self.bits.T.argmax()), self.grid.nrows)
+        if not self.bits[j, i]:
             raise InputError("empty cell set has no minimal cell")
-        js, iis = np.nonzero(self.bits)
-        k = np.lexsort((js, iis))[0]
-        return (int(iis[k]), int(js[k]))
+        return i, j
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,12 @@ class Primitive:
     pts: tuple = ()
     r: float = 0.0
     n: int = 0
+
+    def __post_init__(self):
+        # the scene parser rejects these too; API callers meet the same rule
+        if not all(map(math.isfinite, (self.r, *(v for p in self.pts for v in p)))):
+            raise InputError(f"{self.kind} coordinates, directions and radii "
+                             "must be finite")
 
     @staticmethod
     def segment(p1, p2) -> "Primitive":

@@ -1,7 +1,8 @@
 """Continuous-logarithm lifting along the constructive pipeline: extend a
-nonvanishing sampled function off its carrier, carve away the (empty by
-construction) zero set, build the neighborhood V, and unwrap a logarithm on
-V's cell graph whose exponential reproduces the samples exactly on F.
+nonvanishing sampled function off its carrier (the extension copies carrier
+values, so it vanishes nowhere), build the neighborhood V, and unwrap a
+logarithm on V's cell graph whose exponential reproduces the samples exactly
+on F.
 """
 
 import math
@@ -116,16 +117,11 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     underflow.
     """
     lab = label_components(v, 4)
-    # first cell of each label in (i, j) order, i.e. column-first
-    _, first = np.unique(lab.labels.T.ravel(), return_index=True)
-    seeds = np.zeros(v.bits.shape, dtype=bool)
-    seeds.T.flat[first] = True
-    seeds &= v.bits
+    roots = [CellSet(v.grid, lab.labels == k).min_cell() for k in range(lab.n)]
     if root_cell is not None and v.bits[root_cell[1], root_cell[0]]:
-        ri, rj = root_cell
-        seeds &= lab.labels != lab.labels[rj, ri]
-        seeds[rj, ri] = True
-    del lab, first
+        roots[lab.labels[root_cell[1], root_cell[0]]] = root_cell
+    seeds = CellSet.from_cells(v.grid, roots).bits
+    del lab
 
     w = ext.values.ravel()
     # V's cells sorted by sample bits (np.unique would merge -1+0j and -1-0j)
@@ -167,12 +163,12 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
              root_cell=None) -> LogLiftResult:
     """Lift a continuous logarithm of f on F through the neighborhood V.
 
-    Requires a simply connected scene and |f| >= eps_zero > 0 on F.  The carrier
-    is extended by nearest values, the sub-eps_zero cells of the extension
-    are removed from the region to form U, V comes from the neighborhood
-    builder, and the logarithm is unwrapped over V.  The returned g satisfies
-    max |exp(g) - f| <= tol on F and all adjacent imaginary jumps on F stay
-    below pi; violations raise instead of returning.
+    Requires a simply connected scene and |f| >= eps_zero > 0 on F.  The
+    carrier is extended by nearest values, which copy carrier values, so the
+    extension's modulus stays >= eps_zero and U is the whole region.  V comes
+    from the neighborhood builder, and the logarithm is unwrapped over V.
+    The returned g satisfies max |exp(g) - f| <= tol on F and all adjacent
+    imaginary jumps on F stay below pi; violations raise instead of returning.
     """
     if not region.simply_connected:
         raise NotSimplyConnectedError(
@@ -198,9 +194,7 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
             f"|f| drops below eps_zero={eps_zero:g} on the carrier")
 
     ext = tietze_extend(f, region)
-    small = np.abs(ext.values) < eps_zero
-    u = CellSet(region.grid, region.omega.bits & ~small)
-    nbhd = build_v(F, u, region)
+    nbhd = build_v(F, region.omega, region)
     g_tilde = _unwrap_on(nbhd.v, ext, root_cell=root_cell)
     g = SampledFunction(F, np.where(F.bits, g_tilde.values, 0))
 

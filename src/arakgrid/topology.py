@@ -161,7 +161,6 @@ class ComponentLabeling:
 
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
-    sizes: np.ndarray
     alpha_reach: np.ndarray | None = None
 
     def reach_mask(self, status: int) -> np.ndarray:
@@ -179,7 +178,7 @@ def label_components(domain: CellSet, connectivity: int,
     structure = FOUR if connectivity == 4 else EIGHT
     labels, n = ndimage.label(domain.bits, structure=structure)
     if n == 0:                      # all 0: every label is -1
-        return ComponentLabeling(labels - 1, 0, np.zeros(0, dtype=np.int64),
+        return ComponentLabeling(labels - 1, 0,
                                  None if region is None else np.zeros(0, np.int8))
     # scipy's order is first-seen row-major, undocumented: check it at run heads
     flat = labels.ravel()
@@ -189,8 +188,6 @@ def label_components(domain: CellSet, connectivity: int,
         labels = np.append(0, np.argsort(np.argsort(first)) + 1).astype(np.int32)[labels]
     labels -= 1
 
-    sizes = np.bincount(labels[labels >= 0], minlength=n).astype(np.int64)
-
     alpha_reach = None
     if region is not None:
         alpha_hits = np.bincount(labels[region.alpha_adjacent & domain.bits],
@@ -199,7 +196,7 @@ def label_components(domain: CellSet, connectivity: int,
                                minlength=n)
         alpha_reach = np.where(alpha_hits > 0, REACHES_ALPHA, np.where(
             amb_hits > 0, WINDOW_AMBIGUOUS, ENCLOSED)).astype(np.int8)
-    return ComponentLabeling(labels, n, sizes, alpha_reach)
+    return ComponentLabeling(labels, n, alpha_reach)
 
 
 @dataclass(eq=False)
@@ -239,7 +236,7 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     amb = tuple(np.flatnonzero(lab.alpha_reach == WINDOW_AMBIGUOUS).tolist())
     union = CellSet(region.grid, lab.reach_mask(ENCLOSED)) if hole_labels \
         else CellSet.empty(region.grid)
-    for a in (lab.labels, lab.sizes, lab.alpha_reach, union.bits):
+    for a in (lab.labels, lab.alpha_reach, union.bits):
         a.flags.writeable = False
     if len(kept) >= 4:              # escape routing reads K_0 ... K_3 at once
         del kept[next(iter(kept))]
@@ -257,8 +254,6 @@ class ComplementReport:
 
     connected: bool | None
     n_components: int           # alpha-side counts as one component
-    n_enclosed: int
-    n_ambiguous: int
 
 
 def compactified_complement_connected(G: CellSet,
@@ -271,9 +266,8 @@ def compactified_complement_connected(G: CellSet,
     ones of ``holes(G, region)``.
     """
     hs = holes(G, region)
-    n_amb = len(hs.ambiguous_labels)
-    connected = False if hs.count else (None if n_amb else True)
-    return ComplementReport(connected, 1 + hs.count, hs.count, n_amb)
+    connected = False if hs.count else (None if hs.ambiguous_labels else True)
+    return ComplementReport(connected, 1 + hs.count)
 
 
 def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:

@@ -130,8 +130,8 @@ def disk_cover_reference(F, U, region):
     pairwise-minimum distance field (``brute_distances``), the next centre
     from a full row-major ``np.nonzero`` scan.  It shares the exhaustion and
     the disk raster with the package, so it checks the radius rule and the
-    centre order.  Returns ``[(center, radius, annulus)]`` and the covered
-    bits."""
+    centre order.  F's cells are never covered.  Returns
+    ``[(center, radius, annulus)]`` and the covered bits."""
     grid, omega = region.grid, region.omega.bits
     obstacles = omega & ~U.bits
     d_f = brute_distances(F.bits, grid.delta)
@@ -151,7 +151,7 @@ def disk_cover_reference(F, U, region):
             i, j = int(iis[0]), int(js[0])
             r = float(radius[j, i])
             disk = Primitive.disk(grid.cell_center(i, j), r)
-            covered |= rasterize_closed([disk], grid).bits & omega
+            covered |= rasterize_closed([disk], grid).bits & omega & ~F.bits
             disks.append(((i, j), r, a_idx))
     return disks, covered
 

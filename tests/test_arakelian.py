@@ -250,7 +250,7 @@ class TestAlphaNeighborhood:
         F = rasterize_closed([Primitive.circle((0, 0), 0.5)], g)
         nbhd = alpha_neighborhood(F, CellSet.empty(g), region)
         assert nbhd.connected is False
-        assert nbhd.carrier_hole_count == 1
+        assert holes(F, region).count == 1
 
     def test_forward_direction_at_every_verified_level(self):
         # wherever the check verifies, the alpha neighborhood of every level
@@ -284,4 +284,4 @@ class TestAlphaNeighborhood:
             region.omega.bits, F.bits, K.bits, region.alpha_border)
         assert np.array_equal(nbhd.w.bits, w)
         assert nbhd.connected is connected
-        assert nbhd.carrier_hole_count == count
+        assert holes(F, region).count == count

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arakgrid import (BuildRefusalError, CellSet,
+from arakgrid import (BuildRefusalError, CellSet, CertificateError,
                       NotSimplyConnectedError, PreconditionError, Primitive,
-                      build_exhaustion, build_v, disjoint_union_v, disk_cover,
+                      build_exhaustion, build_v, check_arakelian,
+                      disjoint_union_v, disk_cover,
                       escape_curves, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
                       refutation_blocks_build, refute_witness)
+from arakgrid.arakelian import VERIFIED_UP_TO
 from arakgrid.builder import _Wave, _walk_down
 from arakgrid.scene import parse_scene
 
@@ -558,3 +560,111 @@ class TestDisjointUnion:
         F2 = rasterize_closed([Primitive.circle((0, 0), 0.6)], g)
         with pytest.raises(NotSimplyConnectedError):
             disjoint_union_v(F1, F2, region.omega, region)
+
+
+def _draw_bits(data, allowed, most):
+    """Up to ``most`` cells drawn from the ``allowed`` ones, as bits."""
+    out = np.zeros_like(allowed)
+    pool = [tuple(c) for c in np.argwhere(allowed)]
+    if pool:
+        for j, i in data.draw(st.lists(st.sampled_from(pool), max_size=most)):
+            out[j, i] = True
+    return out
+
+
+def _draw_ring(data, region):
+    """A square cell ring in the middle of the window, clipped to the region."""
+    n = region.grid.ncols
+    size = data.draw(st.integers(2, n // 4))
+    i0, j0 = data.draw(st.tuples(*[st.integers(n // 4, n // 2)] * 2))
+    ring = np.zeros_like(region.omega.bits)
+    ring[j0:j0 + size + 1, i0:i0 + size + 1] = True
+    ring[j0 + 1:j0 + size, i0 + 1:i0 + size] = False
+    return ring & region.omega.bits
+
+
+def _draw_u(data, region, f_bits):
+    """The region minus obstacle cells drawn anywhere in it off F, among
+    them F's 8-neighbours, where a disk's closed raster can touch F."""
+    free = region.omega.bits & ~f_bits
+    obstacles = _draw_bits(data, naive_dilate(f_bits, 8) & free, 4) | \
+        _draw_bits(data, free, 4)
+    return CellSet(region.grid, region.omega.bits & ~obstacles)
+
+
+# plane, open disk and open rectangle regions; a rectangle filling the window
+# (inset 0) leaves every component window-ambiguous, so it is left out
+_lemma_regions = st.builds(_cover_region,
+                           st.sampled_from(["plane", "disk", "rect"]),
+                           st.integers(14, 22), st.integers(1, 2))
+
+
+class TestGridLemma:
+    """The paper's lemma at grid scale: a hole-free carrier gets a certified
+    V inside every U, and a carrier with a hole has a U that no V fits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_lemma_regions, st.booleans(), st.data())
+    def test_verified_carrier_certifies(self, region, ring, data):
+        f_bits = _draw_bits(data, region.omega.bits, 6)
+        if ring:
+            f_bits |= _draw_ring(data, region)
+        F = CellSet(region.grid, f_bits)
+        U = _draw_u(data, region, f_bits)
+        verdict = check_arakelian(F, region, build_exhaustion(region, 3))
+        if verdict.status == VERIFIED_UP_TO:
+            assert build_v(F, U, region).certificate.ok()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lemma_regions, st.data())
+    def test_witness_blocks_by_refusal_or_connectivity(self, region, data):
+        F = CellSet(region.grid, _draw_ring(data, region)
+                    | _draw_bits(data, region.omega.bits, 4))
+        if holes(F, region).count == 0:
+            return
+        wit = refute_witness(F, region, CellSet.empty(region.grid))
+        with pytest.raises((BuildRefusalError, CertificateError)) as info:
+            build_v(F, wit.u, region)
+        if isinstance(info.value, CertificateError):
+            cert = info.value.result.certificate
+            assert cert.f_in_v and not cert.complement_connected
+
+    @settings(max_examples=80, deadline=None)
+    @given(_lemma_regions, st.data())
+    def test_disjoint_verified_pair_keeps_carriers(self, region, data):
+        # disjoint as 8-connected carriers: no cell of F2 touches F1, so
+        # they are separate components of F1 | F2 (carriers that share an
+        # 8-adjacency can close a hole between them).  The combined V keeps
+        # both carriers inside U; its complement's connectivity can fail,
+        # see test_disjoint_single_cells_certify
+        omega = region.omega.bits
+        f1 = _draw_bits(data, omega, 6)
+        f2 = _draw_bits(data, omega & ~naive_dilate(f1, 8), 6)
+        F1, F2 = CellSet(region.grid, f1), CellSet(region.grid, f2)
+        exh = build_exhaustion(region, 3)
+        if all(check_arakelian(F, region, exh).status == VERIFIED_UP_TO
+               for F in (F1, F2)):
+            U = _draw_u(data, region, f1 | f2)
+            try:
+                cert = disjoint_union_v(F1, F2, U, region).certificate
+            except CertificateError as exc:
+                cert = exc.result.certificate
+            facts = cert.to_dict()
+            assert False not in facts.get("part_sphere_connected", ())
+            assert {k for k, val in facts.items() if val is False} <= \
+                {"complement_connected", "sphere_connected"}
+
+    @pytest.mark.xfail(strict=True, raises=CertificateError,
+                       reason="the halves' V meet along the bisector, and "
+                              "their union encloses cells that each half "
+                              "carved out; ROADMAP.md item 1")
+    def test_disjoint_single_cells_certify(self):
+        # two VERIFIED single cells, two columns and two rows apart, U the
+        # whole region
+        region = _cover_region("rect", 14, 1)
+        g = region.grid
+        F1, F2 = CellSet.from_cells(g, [(3, 8)]), CellSet.from_cells(g, [(1, 10)])
+        exh = build_exhaustion(region, 3)
+        assert all(check_arakelian(F, region, exh).status == VERIFIED_UP_TO
+                   for F in (F1, F2, F1 | F2))
+        assert disjoint_union_v(F1, F2, region.omega, region).certificate.ok()

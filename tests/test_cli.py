@@ -83,6 +83,28 @@ class TestExitCodes:
         assert report["extents"]["blocks_construction"] is True
         assert len(report["witnesses"]) == 2
 
+    def test_refute_not_blocking_is_inconclusive(self):
+        # the staircase with the disk of radius 2 has holes, but V still
+        # builds on the punctured set, so nothing is refuted
+        code, report, _ = run_json(["refute", scene("intro_staircase.scene"),
+                                    "--with-k", "disk:0,0,2"])
+        assert code == 2 and report["status"] == "INCONCLUSIVE"
+        assert report["extents"]["blocks_construction"] is False
+        assert len(report["witnesses"]) == report["extents"]["witness_count"] > 0
+
+    def test_obstacle_beside_carrier_builds(self, tmp_path):
+        # an obstacle cell 8-adjacent to F: its disk's closed raster touches
+        # F, and the cover used to carve F's cell out of V (f_in_v failed)
+        path = tmp_path / "beside.scene"
+        path.write_text("grid -2 -2 2 2 0.25\nomega plane\n"
+                        "set F segment -1 0.1 1 0.1\n"
+                        "set obstacles point 0.1 0.35\n")
+        code, report, _ = run_json(["check", str(path)])
+        assert code == 0 and report["status"] == "VERIFIED_UP_TO"
+        code, report, _ = run_json(["build-v", str(path)])
+        assert code == 0 and report["status"] == "OK"
+        assert all(report["certificate"].values())
+
     def test_refute_without_holes_is_precondition_error(self):
         code, _, err = run(["refute", scene("segment.scene")])
         assert code == 3

@@ -165,6 +165,26 @@ class TestRasterize:
         with pytest.raises(InputError):
             Primitive.ray((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Primitive.ray((0.1, 0.1), (math.inf, 0)),
+        lambda: Primitive.ray((math.nan, 0.1), (1, 0)),
+        lambda: Primitive.ray((0.1, 0.1), (math.nan, 1)),
+        lambda: Primitive.disk((0, 0), math.inf),
+        lambda: Primitive.circle((0, -math.inf), 1),
+        lambda: Primitive.segment((0, 0), (math.nan, 1)),
+        lambda: Primitive.rect((0, 0), (1, math.inf)),
+        lambda: Primitive.point((math.inf, 0)),
+        lambda: Primitive.polyline([(0, 0), (1, 1), (2, math.nan)]),
+    ], ids=["ray-inf-direction", "ray-nan-origin", "ray-nan-direction",
+            "disk-inf-radius", "circle-inf-center", "segment-nan",
+            "rect-inf", "point-inf", "polyline-nan"])
+    def test_non_finite_numbers_rejected(self, make):
+        # the scene parser rejects these; an API caller used to get a carrier
+        # that silently lost the primitive (a ray with an infinite direction
+        # rasterized to 0 cells with no exit cell)
+        with pytest.raises(InputError, match="must be finite"):
+            make()
+
     def test_open_rect_excludes_tangent_cells(self):
         g = make_grid(0, 0, 5, 5, 1)
         got = rasterize_open_rect(g, 1, 1, 4, 4)
@@ -205,10 +225,24 @@ class TestCellSetAlgebra:
         s = CellSet.from_cells(g, [(np.int64(1), np.int32(2))])
         assert s.bits[2, 1] and s.count() == 1
 
-    def test_min_cell_is_column_first(self):
-        g = make_grid(0, 0, 4, 4, 1)
-        s = CellSet.from_cells(g, [(2, 0), (1, 3), (1, 1)])
-        assert s.min_cell() == (1, 1)
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["square", "row", "column"]), st.integers(1, 12),
+           st.data())
+    def test_min_cell_is_column_first(self, shape, n, data):
+        # random scattered (mostly multi-component) masks on n x n, 1 x n
+        # and n x 1 windows
+        ncols, nrows = {"square": (n, n), "row": (n, 1), "column": (1, n)}[shape]
+        g = make_grid(0, 0, ncols, nrows, 1)
+        cells = data.draw(st.lists(st.tuples(st.integers(0, ncols - 1),
+                                              st.integers(0, nrows - 1)),
+                                   min_size=1, max_size=20))
+        s = CellSet.from_cells(g, cells)
+        assert s.min_cell() == min((int(i), int(j)) for j, i in np.argwhere(s.bits))
+        assert s.min_cell() == min(cells)
+
+    def test_min_cell_of_empty_set_raises(self):
+        with pytest.raises(InputError, match="no minimal cell"):
+            CellSet.empty(make_grid(0, 0, 4, 4, 1)).min_cell()
 
 
 class TestDistanceField:
