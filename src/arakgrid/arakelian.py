@@ -95,6 +95,15 @@ class Exhaustion:
             raise ArakGridError("exhaustion does not cover the region")
 
 
+def _rows_are_runs(bits: np.ndarray) -> bool:
+    """Is every non-empty row one run of cells?  Then no region cell outside
+    is a hole: it walks along its row, away from the run, to the window edge
+    or to a non-region cell."""
+    n = np.count_nonzero(bits, axis=1)
+    first, end = bits.argmax(axis=1), bits.shape[1] - bits[:, ::-1].argmax(axis=1)
+    return not (n != end - first)[n > 0].any()
+
+
 def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
                      like: Exhaustion | None = None) -> Exhaustion:
     """The region's exhaustion: nested compact levels.
@@ -103,9 +112,10 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
     region's complement and, on regions that run off the window, within
     ``R_k = k / nlevels * half-diagonal`` of the window center.
     Levels are then hole-filled and dilated into their successors so the
-    nesting invariants hold exactly.  Radius caps are skipped for regions
-    fully visible in the window, where the boundary margin alone already
-    makes every level compact.
+    nesting invariants hold exactly; only a level with two runs in a row (a
+    punctured region's, say) is labeled for its holes.  Radius caps are
+    skipped for regions fully visible in the window, where the boundary
+    margin alone already makes every level compact.
 
     ``like`` takes another exhaustion's nlevels, r, R, center and cap
     instead, so the same compact levels are observed on another window.
@@ -136,8 +146,9 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
         return region._exhaustions[key]
 
     dist = region.boundary_distance()
-    X, Y = grid.center_mesh()
-    rad = np.hypot(X - center[0], Y - center[1])
+    X, Y = grid.center_mesh()       # x - 0.0 == x: the origin's field is bit-equal
+    rad = grid.center_abs() if center == (0.0, 0.0) else \
+        np.hypot(X - center[0], Y - center[1])
 
     levels, ids = [], []
     prev = None
@@ -148,8 +159,9 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
         if prev is not None:
             grown = dilate(prev, 8) & region.omega.bits
             bits = bits | grown
-        # fill the level's holes; window-ambiguous components stay out
-        bits = bits | holes(CellSet(grid, bits), region).union.bits
+        # fill the holes the row scan cannot rule out; ambiguous ones stay out
+        if not _rows_are_runs(bits):
+            bits = bits | holes(CellSet(grid, bits), region).union.bits
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue

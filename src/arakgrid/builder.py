@@ -17,8 +17,8 @@ from .arakelian import Exhaustion, build_exhaustion, holes
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, Primitive, distance_field, rasterize_closed
-from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, RegionModel,
-                       compactified_complement_connected,
+from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, ComplementReport,
+                       RegionModel, compactified_complement_connected,
                        sphere_complement_connected)
 
 # routing preference: east, north, west, south
@@ -109,7 +109,7 @@ class NeighborhoodResult:
 
 
 def _certify(v: CellSet, F: CellSet, U: CellSet,
-             region: RegionModel) -> tuple[Certificate, int]:
+             region: RegionModel) -> tuple[Certificate, ComplementReport]:
     f_in_v = F.issubset(v)
     v_in_u = v.issubset(U)
     rep = compactified_complement_connected(v, region)
@@ -117,13 +117,19 @@ def _certify(v: CellSet, F: CellSet, U: CellSet,
     if region.simply_connected:
         sphere = sphere_complement_connected(v, region)
     cert = Certificate(f_in_v, v_in_u, rep.connected is True, sphere)
-    return cert, rep.n_components
+    return cert, rep
 
 
-def _checked(result: NeighborhoodResult, what: str) -> NeighborhoodResult:
-    """The result, or CertificateError naming every failing fact."""
-    cert = result.certificate
+def _checked(what: str, v: CellSet, cover: DiskCover, plan: EscapePlan,
+             cert: Certificate, rep: ComplementReport) -> NeighborhoodResult:
+    """The result; AmbiguousRegionError when the one failing fact is a V
+    complement the window cannot decide, else CertificateError naming all."""
+    result = NeighborhoodResult(v, cover, plan, cert, rep.n_components)
     if not cert.ok():
+        if rep.connected is None and replace(cert, complement_connected=True).ok():
+            raise AmbiguousRegionError(
+                f"{what} certificate: the complement of V is window-ambiguous; "
+                "declare the scene's unbounded edges")
         failing = [k for k, val in cert.to_dict().items() if val is False]
         raise CertificateError(
             f"{what} certificate failed: {', '.join(failing)}", result)
@@ -330,8 +336,7 @@ def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
     cover = disk_cover(F, U, region)
     plan = escape_curves(cover, F, region, build_exhaustion(region, 3))
     v = (U - cover.covered) - plan.union
-    cert, ncomp = _certify(v, F, U, region)
-    return _checked(NeighborhoodResult(v, cover, plan, cert, ncomp), "neighborhood")
+    return _checked("neighborhood", v, cover, plan, *_certify(v, F, U, region))
 
 
 @dataclass(eq=False)
@@ -402,7 +407,7 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
     r2 = build_v(F2, CellSet(region.grid, g2 & U.bits), region)
 
     v = r1.v | r2.v
-    cert, ncomp = _certify(v, F1 | F2, U, region)
+    cert, rep = _certify(v, F1 | F2, U, region)
     cert = replace(cert, parts_disjoint=(r1.v & r2.v).is_empty(),
                    part_sphere_connected=(r1.certificate.sphere_connected,
                                           r2.certificate.sphere_connected))
@@ -410,4 +415,4 @@ def disjoint_union_v(F1: CellSet, F2: CellSet, U: CellSet,
                       r1.cover.covered | r2.cover.covered)
     plan = EscapePlan(r1.plan.curves + r2.plan.curves,
                       r1.plan.union | r2.plan.union)
-    return _checked(NeighborhoodResult(v, cover, plan, cert, ncomp), "combined")
+    return _checked("combined", v, cover, plan, cert, rep)

@@ -175,11 +175,11 @@ def label_components(domain: CellSet, connectivity: int,
     """Label the domain's connected components (4- or 8-connectivity)."""
     if connectivity not in (4, 8):
         raise InputError("connectivity must be 4 or 8")
+    if not domain.bits.any():       # nothing to label: every label is -1
+        return ComponentLabeling(np.full(domain.bits.shape, -1, np.int32), 0,
+                                 None if region is None else np.zeros(0, np.int8))
     structure = FOUR if connectivity == 4 else EIGHT
     labels, n = ndimage.label(domain.bits, structure=structure)
-    if n == 0:                      # all 0: every label is -1
-        return ComponentLabeling(labels - 1, 0,
-                                 None if region is None else np.zeros(0, np.int8))
     # scipy's order is first-seen row-major, undocumented: check it at run heads
     flat = labels.ravel()
     heads = np.append(flat[0], flat[1:][flat[1:] != flat[:-1]])
@@ -222,9 +222,10 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     """Holes of F in the region: components of region-minus-F that neither
     touch the region boundary nor any declared-unbounded window edge.
 
-    The one place a hole set is reused: the region keeps the last 4 returned,
-    keyed on F's cells, oldest evicted first, with read-only arrays.  So the
-    check, the alpha neighborhood and escape routing share each labeling."""
+    The one place a hole set is reused: the region keeps the last 4 returned
+    for a non-empty region - F, keyed on F's cells, oldest evicted first,
+    with read-only arrays.  So the check, the alpha neighborhood and escape
+    routing share each labeling; an empty region - F is labeled by no one."""
     if not F.issubset(region.omega):
         raise PreconditionError("carrier set must lie inside the region")
     key = np.packbits(F.bits).tobytes()
@@ -238,10 +239,12 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
         else CellSet.empty(region.grid)
     for a in (lab.labels, lab.alpha_reach, union.bits):
         a.flags.writeable = False
-    if len(kept) >= 4:              # escape routing reads K_0 ... K_3 at once
-        del kept[next(iter(kept))]
-    kept[key] = HoleSet(hole_labels, union, len(hole_labels), amb, lab)
-    return kept[key]
+    hs = HoleSet(hole_labels, union, len(hole_labels), amb, lab)
+    if lab.n:                       # an empty domain took no labeling to keep
+        if len(kept) >= 4:          # escape routing reads K_0 ... K_3 at once
+            del kept[next(iter(kept))]
+        kept[key] = hs
+    return hs
 
 
 @dataclass(frozen=True)

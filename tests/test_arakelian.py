@@ -1,21 +1,23 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arakgrid import (CellSet, PreconditionError, Primitive,
+from arakgrid import (ArakGridError, CellSet, PreconditionError, Primitive,
                       alpha_neighborhood, build_exhaustion, check_arakelian,
                       hole_union_extent, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed)
 from arakgrid.arakelian import (EVIDENCE_DIVERGENT, INCONCLUSIVE, REFUTED,
-                                VERIFIED_UP_TO)
+                                VERIFIED_UP_TO, _rows_are_runs)
 from arakgrid.scene import parse_scene
 from arakgrid.topology import custom_region
 
-from oracles import naive_alpha_neighborhood
+from oracles import (naive_alpha_neighborhood, naive_dilate, naive_fill,
+                     naive_holes)
 
 rng = np.random.default_rng(424242)
 
@@ -23,6 +25,37 @@ rng = np.random.default_rng(424242)
 def _staircase_scene(ymax=8):
     return parse_scene(
         f"grid -3 -3 3 {ymax} 0.03125\nomega plane\nfixture intro_staircase\n")
+
+
+@st.composite
+def _exhaustion_regions(draw):
+    """Custom regions on a 16 x 16 window of unit cells, with random declared
+    edges and exits on the window border: the whole window, a rectangle, a
+    disk, a punctured disk (whose levels have two runs in a row, so the
+    labeling fill runs) or random cells."""
+    g = make_grid(0, 0, 16, 16, 1)
+    X, Y = g.center_mesh()
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["window", "rect", "disk", "punctured", "cells"]))
+    if kind == "window":
+        omega = np.ones((16, 16), dtype=bool)
+    elif kind == "rect":
+        x1, y1 = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+        x2, y2 = draw(st.integers(10, 17)), draw(st.integers(10, 17))
+        omega = (x1 < X) & (X < x2) & (y1 < Y) & (Y < y2)
+    elif kind == "cells":
+        omega = gen.random((16, 16)) < draw(st.floats(0.6, 0.95))
+    else:
+        cx, cy = draw(st.floats(6, 10)), draw(st.floats(6, 10))
+        omega = np.hypot(X - cx, Y - cy) < draw(st.floats(4, 10))
+        if kind == "punctured":
+            for dj, di in gen.integers(-2, 3, size=(draw(st.integers(1, 3)), 2)):
+                omega[int(cy) + dj, int(cx) + di] = False
+    omega[8, 8] = True                      # never empty
+    edges = draw(st.sets(st.sampled_from("NSEW")))
+    exits = gen.random((16, 16)) < draw(st.sampled_from([0.0, 0.2]))
+    return custom_region(g, CellSet(g, omega), unbounded_edges=tuple(edges),
+                         extra_unbounded=exits)
 
 
 class TestBuildExhaustion:
@@ -101,6 +134,57 @@ class TestBuildExhaustion:
         assert got is not exh and got.level_ids == exh.level_ids
         assert (got.r_values, got.R_values, got.center, got.capped) == \
             (exh.r_values, exh.R_values, exh.center, exh.capped)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exhaustion_regions(), st.integers(1, 3))
+    def test_fill_matches_naive_fill(self, region, nlevels):
+        # rebuild each level before its fill from the exhaustion's own
+        # thresholds; the level must be that set's naive fill, and a level
+        # whose rows are each one run (the scan that skips the labeling)
+        # must have no naive hole
+        omega, alpha = region.omega.bits, region.alpha_border
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                exh = build_exhaustion(region, nlevels)
+            except ArakGridError:
+                return                      # every level empty: too thin
+        X, Y = region.grid.center_mesh()
+        rad = np.hypot(X - exh.center[0], Y - exh.center[1])
+        kept = dict(zip(exh.level_ids, exh.levels))
+        prev = np.zeros_like(omega)
+        for k in range(1, nlevels + 1):
+            a = omega & (region.boundary_distance() >= exh.r_values[k - 1])
+            if exh.capped:
+                a &= rad <= exh.R_values[k - 1]
+            a |= naive_dilate(prev, 8) & omega
+            if _rows_are_runs(a):
+                assert not naive_holes(omega, a, alpha).any()
+            want = naive_fill(omega, a, alpha)
+            got = kept[k].bits if k in kept else np.zeros_like(omega)
+            assert np.array_equal(got, want)
+            prev = got
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exhaustion_regions(), st.data())
+    def test_row_scan_rules_out_holes(self, region, data):
+        # one run per row, then a few cells flipped, which can split a run
+        # around a hole: the scan must agree with a row-by-row count, and a
+        # set it passes must have no naive hole
+        omega = region.omega.bits
+        a = np.zeros_like(omega)
+        cols, cells = st.integers(0, 16), st.tuples(*[st.integers(0, 15)] * 2)
+        for j in range(16):
+            i0, i1 = sorted(data.draw(st.tuples(cols, cols)))
+            a[j, i0:i1] = True
+        for j, i in data.draw(st.lists(cells, max_size=3)):
+            a[j, i] = not a[j, i]
+        a &= omega
+        runs = [np.flatnonzero(row) for row in a]
+        assert _rows_are_runs(a) == all(c[-1] - c[0] + 1 == len(c)
+                                        for c in runs if len(c))
+        if _rows_are_runs(a):
+            assert not naive_holes(omega, a, region.alpha_border).any()
 
 
 class TestHoleUnionExtent:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -6,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arakgrid import (BuildRefusalError, CellSet, CertificateError,
-                      NotSimplyConnectedError, PreconditionError, Primitive,
+from arakgrid import (AmbiguousRegionError, BuildRefusalError, CellSet,
+                      CertificateError, NotSimplyConnectedError,
+                      PreconditionError, Primitive,
                       build_exhaustion, build_v, check_arakelian,
                       disjoint_union_v, disk_cover,
                       escape_curves, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
                       refutation_blocks_build, refute_witness)
-from arakgrid.arakelian import VERIFIED_UP_TO
-from arakgrid.builder import _Wave, _walk_down
+from arakgrid.arakelian import INCONCLUSIVE, VERIFIED_UP_TO
+from arakgrid.builder import (Certificate, DiskCover, EscapePlan, _checked,
+                              _Wave, _walk_down)
 from arakgrid.scene import parse_scene
+from arakgrid.topology import ComplementReport
 
 from oracles import (bfs_distances, bfs_path_ok, disk_cover_reference,
                      flood_components, naive_dilate, naive_reach)
@@ -636,7 +640,9 @@ class TestGridLemma:
         # they are separate components of F1 | F2 (carriers that share an
         # 8-adjacency can close a hole between them).  The combined V keeps
         # both carriers inside U; its complement's connectivity can fail,
-        # see test_disjoint_single_cells_certify
+        # see test_disjoint_single_cells_certify, or be undecidable in the
+        # window, which raises AmbiguousRegionError only when every other
+        # fact holds
         omega = region.omega.bits
         f1 = _draw_bits(data, omega, 6)
         f2 = _draw_bits(data, omega & ~naive_dilate(f1, 8), 6)
@@ -647,12 +653,44 @@ class TestGridLemma:
             U = _draw_u(data, region, f1 | f2)
             try:
                 cert = disjoint_union_v(F1, F2, U, region).certificate
+            except AmbiguousRegionError:
+                return
             except CertificateError as exc:
                 cert = exc.result.certificate
             facts = cert.to_dict()
             assert False not in facts.get("part_sphere_connected", ())
             assert {k for k, val in facts.items() if val is False} <= \
                 {"complement_connected", "sphere_connected"}
+
+    @pytest.mark.parametrize("connected, facts, raised", [
+        (None, {}, AmbiguousRegionError),
+        (False, {}, CertificateError),
+        (None, {"f_in_v": False}, CertificateError),
+        (None, {"sphere_connected": False}, CertificateError),
+        (None, {"parts_disjoint": True, "part_sphere_connected": (True, False)},
+         CertificateError),
+    ], ids=["ambiguous", "disconnected", "f-out", "sphere", "part-sphere"])
+    def test_ambiguity_only_when_nothing_else_fails(self, connected, facts, raised):
+        g = make_grid(0, 0, 2, 2, 1)
+        cert = Certificate(True, True, False, True, True, (True, True))
+        cert = dataclasses.replace(cert, **facts)
+        empty = CellSet.empty(g)
+        with pytest.raises(raised):
+            _checked("combined", empty, DiskCover([], empty), EscapePlan([], empty),
+                     cert, ComplementReport(connected, 1))
+
+    def test_window_ambiguous_union_is_not_a_failure(self):
+        # the open disk's bottom-row cells touch the undeclared window edge;
+        # each carrier verifies, and the window cannot decide the combined
+        # V's complement: ambiguity, not a failed certificate
+        region = _cover_region("disk", 14, 1)
+        g = region.grid
+        F1, F2 = CellSet.from_cells(g, [(5, 0)]), CellSet.from_cells(g, [(7, 0)])
+        exh = build_exhaustion(region, 3)
+        assert [check_arakelian(F, region, exh).status for F in (F1, F2, F1 | F2)] \
+            == [VERIFIED_UP_TO, VERIFIED_UP_TO, INCONCLUSIVE]
+        with pytest.raises(AmbiguousRegionError, match="window-ambiguous"):
+            disjoint_union_v(F1, F2, region.omega, region)
 
     @pytest.mark.xfail(strict=True, raises=CertificateError,
                        reason="the halves' V meet along the bisector, and "

@@ -570,6 +570,19 @@ class TestCertificateFailure:
         assert not out_path.exists()
 
 
+def test_window_ambiguous_certificate_is_inconclusive(tmp_path):
+    # an open disk touching the undeclared window edges in its bottom row,
+    # with one carrier cell on each side of its centre there: the window
+    # cannot decide whether the combined V's complement escapes, which is
+    # exit 2, not a failed certificate (exit 1)
+    path = tmp_path / "edge_pair.scene"
+    path.write_text("grid 0 0 0.875 0.875 0.0625\nomega disk 0.4375 0.4375 0.39375\n"
+                    "set F1 point 0.34375 0.03125\nset F2 point 0.46875 0.03125\n")
+    code, out, err = run(["union", str(path)])
+    assert code == 2 and out == ""
+    assert "inconclusive" in err and "window-ambiguous" in err
+
+
 class TestRender:
     def test_unknown_layer_rejected(self, tmp_path):
         code, _, err = run(["render", scene("segment.scene"),

@@ -52,3 +52,30 @@ def test_tiny_workloads_reproduce_their_pins(tmp_path):
             if reason is not None or got != pins[name].get(op.name):
                 wrong.append(f"{name}: {op.name}: {reason or got}")
     assert wrong == []
+
+
+def test_tiny_batch_pass_labelings(tmp_path, monkeypatch):
+    # the timed steps of one op of each batch kind, each op checked after
+    # its steps: check 3 and build_v 1, holes 1 (the refute that follows
+    # reads it back), the union's 8 distinct domains and the lift's 1.  A
+    # lost shortcut (a fill the row scan should skip, an empty domain
+    # labeled, a hole set not shared) raises the count
+    from arakgrid import topology
+    wl = _load("workloads.py")
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())
+    workload = wl.batch(ROOT, tmp_path, wl.DEFAULT_SEED, pins, tiny=True)
+    calls = []
+    label = topology.ndimage.label
+    monkeypatch.setattr(topology.ndimage, "label",
+                        lambda *a, **k: calls.append(1) or label(*a, **k))
+    timed = 0
+    for op in workload.ops:             # as perfbench/run.py issues them
+        ctx = {}
+        for _, step in op.steps:
+            before = len(calls)
+            step(ctx)
+            timed += len(calls) - before
+        assert op.verify(ctx) is None
+    assert sorted(op.name.split()[0] for op in workload.ops) == \
+        ["lift", "open", "ring", "union"]
+    assert timed == 14

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import pytest
 
 from arakgrid import (Primitive, SampledFunction, arakelian, builder, grid,
-                      loglift, make_grid, plane_region, rasterize_closed,
-                      tietze_extend, topology)
+                      loglift, make_grid, open_disk_region, plane_region,
+                      rasterize_closed, tietze_extend, topology)
 from arakgrid.cli import run_cli
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -76,13 +76,27 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
 
 class TestLabelingsPerCommand:
     def test_single_window_check(self, monkeypatch):
-        # 3 exhaustion fills, region - F and region - (F | K_1); K_2 and K_3
-        # hold F, so their hole sets are the fills', read back from the
-        # region like the alpha neighborhood's two
+        # region - F, region - (F | K_1) and region - (F | K_2); the row scan
+        # clears every exhaustion level, K_3 is the whole window, so
+        # region - (F | K_3) is empty, and the alpha neighborhood reads its
+        # two hole sets back from the region
         code, n = count_work(monkeypatch, ["check", scene("segment.scene")])
         assert code == 0
-        assert n["labelings"] == 5
+        assert n["labelings"] == 3
         assert n["exhaustions"] == 1
+
+    def test_plane_exhaustion_labels_nothing(self, monkeypatch):
+        # every level of a plane window is one run per row
+        n = install_counters(monkeypatch)
+        arakelian.build_exhaustion(plane_region(make_grid(-2, -2, 2, 2, 1 / 16)), 3)
+        assert n["labelings"] == 0
+
+    def test_punctured_exhaustion_falls_back(self, monkeypatch):
+        # the puncture splits a row of every level: the fill labels it
+        g = make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32)
+        n = install_counters(monkeypatch)
+        arakelian.build_exhaustion(open_disk_region(g, 0, 0, 1, punctured=True), 3)
+        assert n["labelings"] >= 1
 
     def test_holes_with_compact(self, monkeypatch):
         code, n = count_work(monkeypatch, [
@@ -91,42 +105,48 @@ class TestLabelingsPerCommand:
         assert n["labelings"] == 1
 
     def test_refute(self, monkeypatch):
+        # region - F; the build that the witness blocks reads it back, and
+        # the row scan clears every exhaustion level
         code, n = count_work(monkeypatch, ["refute", scene("nested_rings.scene")])
         assert code == 1
-        assert n["labelings"] == 4
+        assert n["labelings"] == 1
 
     def test_union_reuses_part_certificates(self, monkeypatch):
-        # each of the 3 sphere tests on the plane reads back its certificate's
-        # labeling of V's complement
+        # 8 distinct domains: region - F1 and region - F2 for the hole-free
+        # precondition, which escape routing's stage 0 reads back, 3 escape
+        # stages and the 3 certificates' complements of V, which the 3
+        # sphere tests on the plane read back; the exhaustion labels none
         code, n = count_work(monkeypatch, ["union", scene("union_segments.scene")])
         assert code == 0
-        assert n["labelings"] == 14
+        assert n["labelings"] == 8
         assert n["sphere_tests"] == 3
 
     def test_window_schedule_reuses_base_exhaustion(self, monkeypatch):
         code, n = count_work(monkeypatch, [
             "check", scene("intro_staircase.scene"), "--windows", "8,16,32"])
+        # region - F and region - (F | K) on each window, for K_1 ... K_3;
+        # on the base window K_3 is the whole region, which takes none
         assert code == 2
-        assert n["labelings"] == 20
+        assert n["labelings"] == 11
         assert n["exhaustions"] == 3
         assert n["regions"] == 3
 
     def test_build_v_reads_stage_domains_from_holes(self, monkeypatch):
-        # 3 exhaustion fills, escape routing's region - (F | K_1) (no disk
-        # routes in region - F; region - (F | K_2) and region - (F | K_3)
-        # are fills' domains) and the complement of V, whose hole set the
-        # sphere test on the plane reads back
+        # escape routing's region - (F | K_1) and region - (F | K_2) (no
+        # disk routes in region - F, and region - (F | K_3) is empty) and
+        # the complement of V, whose hole set the sphere test on the plane
+        # reads back; the row scan clears every exhaustion level
         code, n = count_work(monkeypatch, ["build-v", scene("segment.scene")])
         assert code == 0
-        assert n["labelings"] == 5
+        assert n["labelings"] == 3
 
     def test_loglift(self, monkeypatch):
-        # 3 exhaustion fills and the unwrap's labeling of V; V and the top
-        # level are both the whole region, so the certificate's hole set is
-        # the top fill's, and V's sphere complement is empty
+        # the unwrap's labeling of V; V is the whole region, so the
+        # certificate's region - V is empty and takes none, and the row scan
+        # clears every exhaustion level
         code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0
-        assert n["labelings"] == 4
+        assert n["labelings"] == 1
 
 
 class TestEscapeLayers:
@@ -148,8 +168,9 @@ class TestHoleExtentsWhereRead:
     that report it, not by every hole set."""
 
     @pytest.mark.parametrize("argv, code, fields", [
-        # the exhaustion's outer radii; the refutation's holes are not measured
-        (["refute", "nested_rings.scene"], 1, 1),
+        # the exhaustion's radial cap and outer radii read one field; the
+        # refutation's holes are not measured
+        (["refute", "nested_rings.scene"], 1, 2),
         (["render", "segment.scene", "--layers", "F,holes"], 0, 0),
         (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0),
     ], ids=["refute", "render-segment", "render-rings"])
@@ -228,14 +249,14 @@ class TestOneExhaustionPerRegion:
         verdict = arakelian.check_arakelian(
             F, region, arakelian.build_exhaustion(region, 3))
         assert verdict.status == "VERIFIED_UP_TO"
-        # 3 exhaustion fills, region - F and region - (F | K_1); K_2 and K_3
-        # hold F, so their hole sets are the fills', read back from the region
-        assert n["labelings"] == 5
+        # region - F, region - (F | K_1) and region - (F | K_2); the row scan
+        # clears every exhaustion level and region - (F | K_3) is empty
+        assert n["labelings"] == 3
         result = builder.build_v(F, region.omega - obstacles, region)
         assert result.certificate.ok() and len(result.cover.disks) == 2
         # escape stages read the check's hole sets; the certificate labels
         # the complement of V once, for both of its tests
-        assert n["labelings"] == 6
+        assert n["labelings"] == 4
 
 
 class TestBoundaryDistancePerRegion:
