@@ -254,7 +254,9 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     Routing grows one 4-connected BFS per (stage, target kind), shared by
     the disks and run layer by layer only until each walk's start has its
     distance.  The BFS never crosses between the domain's components, so
-    every component sees the distances a BFS confined to it would give.
+    every component sees the distances a BFS confined to it would give.  A
+    hop into a stage with no alpha-reaching component has no target, so the
+    hops end there without one.
     Stage s's domain region - (F | K_s) is labeled by ``holes(F | K_s,
     region)``, read once per call, so a check run on the region has labeled it.
     """
@@ -299,6 +301,8 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
         cur = (i, j)
         s_here = m
         for s in range(m + 1, top + 1):
+            if REACHES_ALPHA not in lab_at(s).alpha_reach:
+                break                       # no target: no walk could end
             seg = _walk_down(cur, wave(s_here, s).reach(cur))
             if seg is None:
                 break

@@ -194,7 +194,7 @@ class CellSet:
         return bool(np.array_equal(self.bits, other.bits))
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def is_empty(self) -> bool:
         return not bool(self.bits.any())
@@ -336,14 +336,20 @@ def _segment_into(grid, p1, p2, out):
     out[j0:j1, i0:i1] |= te <= tl
 
 
-def _near_far(grid, center, i0, i1, j0, j1):
+def _near(grid, center, i0, i1, j0, j1):
+    """Distance from the centre to the nearest point of each cell box."""
     x0, x1, y0, y1 = _box_arrays(grid, i0, i1, j0, j1)
     cx, cy = center
     nx = np.maximum(np.maximum(x0 - cx, cx - x1), 0.0)
     ny = np.maximum(np.maximum(y0 - cy, cy - y1), 0.0)
-    fx = np.maximum(cx - x0, x1 - cx)
-    fy = np.maximum(cy - y0, y1 - cy)
-    return np.hypot(nx, ny), np.hypot(fx, fy)
+    return np.hypot(nx, ny)
+
+
+def _far(grid, center, i0, i1, j0, j1):
+    """Distance from the centre to the farthest corner of each cell box."""
+    x0, x1, y0, y1 = _box_arrays(grid, i0, i1, j0, j1)
+    cx, cy = center
+    return np.hypot(np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy))
 
 
 def _circle_into(grid, center, r, out, filled):
@@ -353,11 +359,10 @@ def _circle_into(grid, center, r, out, filled):
                                   cx + r + eps, cy + r + eps)
     if i0 >= i1 or j0 >= j1:
         return
-    near, far = _near_far(grid, center, i0, i1, j0, j1)
-    if filled:
-        out[j0:j1, i0:i1] |= near <= r + eps
-    else:
-        out[j0:j1, i0:i1] |= (near <= r + eps) & (far >= r - eps)
+    hit = _near(grid, center, i0, i1, j0, j1) <= r + eps
+    if not filled:              # the circle itself: a box inside it misses
+        hit &= _far(grid, center, i0, i1, j0, j1) >= r - eps
+    out[j0:j1, i0:i1] |= hit
 
 
 def _rect_into(grid, c1, c2, out):
@@ -520,8 +525,7 @@ def rasterize_open_disk(grid: GridSpec, cx: float, cy: float, r: float) -> CellS
     out = np.zeros((grid.nrows, grid.ncols), dtype=bool)
     i0, i1, j0, j1 = _cell_ranges(grid, cx - r, cy - r, cx + r, cy + r)
     if i0 < i1 and j0 < j1:
-        near, _ = _near_far(grid, (cx, cy), i0, i1, j0, j1)
-        out[j0:j1, i0:i1] = near < r
+        out[j0:j1, i0:i1] = _near(grid, (cx, cy), i0, i1, j0, j1) < r
     return CellSet(grid, out)
 
 

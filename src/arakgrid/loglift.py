@@ -74,22 +74,31 @@ class LogLiftResult:
     imag_jump_max: float            # max adjacent-cell imaginary jump on F
 
 
-def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
-    """The phase unwrap's 4-connected BFS tree (twin: ``oracles.bfs_unwrap``).
-    Yields ``(cells, parents)`` as flat indices in FIFO queue order: the
-    seeds first (parents -1), then per layer each cell with the first queued
-    cell of the previous layer that reaches it along ``_STEPS``.  The unwrap's
-    bit-for-bit sums rest on this rule.  O(cells)."""
+def _bfs_tree(domain: np.ndarray, seeds: np.ndarray):
+    """The phase unwrap's 4-connected BFS tree (twin:
+    ``oracles.bfs_tree_reference``).  Returns ``(cells, parents, bounds)``:
+    int32 flat indices of every cell the seeds reach, in FIFO queue order,
+    and of its parent (-1 for a seed); layer k is ``cells[bounds[k]:
+    bounds[k + 1]]``.  The seeds come first, then per layer each cell with
+    the first queued cell of the previous layer that reaches it along
+    ``_STEPS``.  The unwrap's bit-for-bit sums rest on this rule.  Both
+    arrays are filled layer by layer in padded indices and unpadded once.
+    O(cells)."""
     width = domain.shape[1] + 2
     free = np.pad(domain, 1).ravel()                  # in domain, unvisited
     claim = np.full(free.size, np.iinfo(np.int64).max)
+    cells = np.empty(np.count_nonzero(domain), dtype=np.int32)
+    parents = np.empty_like(cells)
     frontier = np.flatnonzero(np.pad(seeds & domain, 1))
-    parents = np.full(frontier.size, -1)
+    n_seeds = frontier.size
+    parents[:n_seeds] = -1
     steps = np.array([di + dj * width for di, dj in _STEPS])
+    bounds = [0]
     while frontier.size:
+        lo, hi = bounds[-1], bounds[-1] + frontier.size
         free[frontier] = False
-        cells = frontier - 2 * (frontier // width) - (width - 1)   # unpadded
-        yield cells, parents
+        cells[lo:hi] = frontier
+        bounds.append(hi)
         nbrs = (frontier[:, None] + steps).ravel()
         hit = np.flatnonzero(free[nbrs])
         # each new cell's least slot is its first occurrence; ``hit`` ascends,
@@ -98,8 +107,13 @@ def _bfs_layers(domain: np.ndarray, seeds: np.ndarray):
         new = nbrs[hit]
         np.minimum.at(claim, new, hit)
         first = hit[claim[new] == hit]
-        parents = cells[first // steps.size]
+        parents[hi:hi + first.size] = frontier[first // steps.size]
         frontier = nbrs[first]
+    del free, claim
+    cells, parents = cells[:bounds[-1]], parents[:bounds[-1]]
+    for a in (cells, parents[n_seeds:]):               # seeds keep parent -1
+        a -= 2 * (a // width) + (width - 1)
+    return cells, parents, bounds
 
 
 def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunction:
@@ -110,11 +124,12 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     edge adds the principal argument increment, which must stay below pi in
     magnitude or the grid is declared too coarse.
 
-    The tree is one ``_bfs_layers`` BFS from all roots.  The scalar math runs
-    once per distinct sample (by bit pattern), root and cross-sample edge;
-    the imaginary parts add up layer by layer, bit for bit as cell by cell.
-    Phases are ``math.atan2``, which unlike ``cmath.phase`` never raises on
-    underflow.
+    The tree is one ``_bfs_tree`` BFS from all roots.  The scalar math runs
+    once over the whole tree: once per distinct sample (by bit pattern), root
+    and cross-sample edge, and the pi guard checks every increment before any
+    is added.  Only the sums run layer by layer, each cell's imaginary part
+    its parent's plus the increment, bit for bit as cell by cell.  Phases are
+    ``math.atan2``, which unlike ``cmath.phase`` never raises on underflow.
     """
     lab = label_components(v, 4)
     roots = [CellSet(v.grid, lab.labels == k).min_cell() for k in range(lab.n)]
@@ -138,23 +153,26 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     same = np.array([math.atan2(q.imag, q.real) if m else 0.0
                      for q, m in zip((z / z for z in distinct), many)])
 
+    cells, parents, bounds = _bfs_tree(v.bits, seeds)
+    r = len(roots)                          # the roots come first
     vals = np.zeros(w.size, dtype=np.complex128)
-    for cells, parents in _bfs_layers(v.bits, seeds):
-        at = ids[cells]
-        vals.real[cells] = logs[at]
-        if parents[0] < 0:                  # the roots: principal branch
-            vals.imag[cells] = [math.atan2(z.imag, z.real) for z in w[cells].tolist()]
-            continue
-        dtheta = same[at]
-        cross = np.flatnonzero(at != ids[parents])
-        quots = [a / b for a, b in
-                 zip(w[cells[cross]].tolist(), w[parents[cross]].tolist())]
-        dtheta[cross] = [math.atan2(q.imag, q.real) for q in quots]
-        if (np.abs(dtheta) >= math.pi * (1 - 1e-12)).any():
-            raise ResolutionError(
-                "phase jump of at least pi along a tree edge; "
-                "retry with a smaller cell size")
-        vals.imag[cells] = vals.imag[parents] + dtheta
+    at = ids[cells]
+    vals.real[cells] = logs[at]
+    # per tree cell: a root's principal phase, else its tree edge's increment
+    theta = same[at]
+    theta[:r] = [math.atan2(z.imag, z.real) for z in w[cells[:r]].tolist()]
+    cross = r + np.flatnonzero(at[r:] != ids[parents[r:]])
+    del at, ids
+    quots = (a / b for a, b in zip(w[cells[cross]].tolist(),
+                                   w[parents[cross]].tolist()))
+    theta[cross] = [math.atan2(q.imag, q.real) for q in quots]
+    if (np.abs(theta[r:]) >= math.pi * (1 - 1e-12)).any():
+        raise ResolutionError(
+            "phase jump of at least pi along a tree edge; "
+            "retry with a smaller cell size")
+    vals.imag[cells[:r]] = theta[:r]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        vals.imag[cells[lo:hi]] = vals.imag[parents[lo:hi]] + theta[lo:hi]
     return SampledFunction(v, vals.reshape(v.bits.shape))
 
 

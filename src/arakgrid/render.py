@@ -18,6 +18,9 @@ _COLORS = {"omega": (232, 232, 240), "F": (34, 34, 34), "U": (208, 228, 208),
            "V": (150, 190, 235), "holes": (220, 120, 120), "disks": (240, 170, 60),
            "curves": (200, 40, 40)}
 _RGB = {name: "rgb(%d,%d,%d)" % rgb for name, rgb in _COLORS.items()}
+# PPM palette: white background, then the layer colours
+_PALETTE = np.array([(255, 255, 255), *_COLORS.values()], dtype=np.uint8)
+_PALETTE_INDEX = {name: k for k, name in enumerate(_COLORS, start=1)}
 # cell layer -> fill attributes of its SVG rects
 _FILLS = {"omega": f'fill="{_RGB["omega"]}"', "F": f'fill="{_RGB["F"]}"',
           "U": f'fill="{_RGB["U"]}" fill-opacity="0.6"',
@@ -98,18 +101,19 @@ def render_svg(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> 
 
 
 def render_ppm(grid: GridSpec, region_bits: np.ndarray, layers: list[tuple]) -> bytes:
-    """Flat binary raster; the last layer painted on a cell wins."""
-    img = np.full((grid.nrows, grid.ncols, 3), 255, dtype=np.uint8)
-    img[region_bits] = _COLORS["omega"]
+    """Flat binary raster; the last layer painted on a cell wins.  Cells are
+    painted as palette indices and take their colours in one gather."""
+    idx = np.zeros((grid.nrows, grid.ncols), dtype=np.uint8)
+    idx[region_bits] = _PALETTE_INDEX["omega"]
     for name, payload in layers:
         if name in ("F", "U", "V", "holes"):
-            img[payload] = _COLORS[name]
+            idx[payload] = _PALETTE_INDEX[name]
         elif name in ("disks", "curves"):
             i, j = _mark_cells(grid, name, payload).T
-            img[j, i] = _COLORS[name]
+            idx[j, i] = _PALETTE_INDEX[name]
         else:
             raise InputError(f"unknown render layer {name!r}")
-    img = img[::-1]                     # y grows upward in the plane
+    img = _PALETTE[idx[::-1]]           # y grows upward in the plane
     scale = max(1, 256 // max(grid.ncols, grid.nrows))
     if scale > 1:
         img = np.repeat(np.repeat(img, scale, axis=0), scale, axis=1)

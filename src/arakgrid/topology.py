@@ -71,6 +71,7 @@ class RegionModel:
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
     _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
     _hole_sets: dict = field(init=False, default_factory=dict)    # see ``holes``
+    _no_domain: "HoleSet | None" = field(init=False, default=None)  # see ``holes``
 
     def __post_init__(self, exits):
         if self.omega.is_empty():
@@ -225,14 +226,18 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     The one place a hole set is reused: the region keeps the last 4 returned
     for a non-empty region - F, keyed on F's cells, oldest evicted first,
     with read-only arrays.  So the check, the alpha neighborhood and escape
-    routing share each labeling; an empty region - F is labeled by no one."""
+    routing share each labeling.  An empty region - F (F fills the region)
+    has one hole set per region, kept apart; its labeling runs no scan."""
     if not F.issubset(region.omega):
         raise PreconditionError("carrier set must lie inside the region")
     key = np.packbits(F.bits).tobytes()
     kept = region._hole_sets
     if key in kept:
         return kept[key]
-    lab = label_components(region.omega - F, 4, region)
+    domain = region.omega - F
+    if region._no_domain is not None and domain.is_empty():
+        return region._no_domain
+    lab = label_components(domain, 4, region)
     hole_labels = tuple(np.flatnonzero(lab.alpha_reach == ENCLOSED).tolist())
     amb = tuple(np.flatnonzero(lab.alpha_reach == WINDOW_AMBIGUOUS).tolist())
     union = CellSet(region.grid, lab.reach_mask(ENCLOSED)) if hole_labels \
@@ -240,7 +245,9 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     for a in (lab.labels, lab.alpha_reach, union.bits):
         a.flags.writeable = False
     hs = HoleSet(hole_labels, union, len(hole_labels), amb, lab)
-    if lab.n:                       # an empty domain took no labeling to keep
+    if not lab.n:                   # an empty domain: F fills the region
+        region._no_domain = hs
+    else:
         if len(kept) >= 4:          # escape routing reads K_0 ... K_3 at once
             del kept[next(iter(kept))]
         kept[key] = hs

@@ -294,6 +294,38 @@ def bfs_path_ok(path, f_bits, alpha_adjacent) -> bool:
     return bool(alpha_adjacent[lj, li])
 
 
+def bfs_tree_reference(domain: np.ndarray, seeds: np.ndarray):
+    """Cell-by-cell deque BFS from every seed in the domain at once; the twin
+    of ``loglift._bfs_tree``.  The seeds are queued in row-major order with
+    parent -1; each popped cell pushes its unvisited domain neighbours east,
+    north, west, south.  Returns the flat cell indices in queue order, their
+    parents and the layer bounds, all as lists."""
+    nrows, ncols = domain.shape
+    depth = np.full(domain.shape, -1)
+    order, parents = [], []
+    queue = deque()
+    for j in range(nrows):
+        for i in range(ncols):
+            if seeds[j, i] and domain[j, i]:
+                depth[j, i] = 0
+                order.append(j * ncols + i)
+                parents.append(-1)
+                queue.append((i, j))
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni < ncols and 0 <= nj < nrows and domain[nj, ni] \
+                    and depth[nj, ni] < 0:
+                depth[nj, ni] = depth[j, i] + 1
+                order.append(nj * ncols + ni)
+                parents.append(j * ncols + i)
+                queue.append((ni, nj))
+    depths = [depth.flat[c] for c in order]
+    bounds = [k for k in range(1, len(order)) if depths[k] != depths[k - 1]]
+    return order, parents, [0, *bounds, len(order)] if order else [0]
+
+
 def bfs_unwrap(v_bits: np.ndarray, ext_values: np.ndarray,
                root_cell=None) -> np.ndarray:
     """Cell-by-cell deque BFS phase unwrap of log(ext) over V's 4-connected

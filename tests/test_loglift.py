@@ -12,9 +12,10 @@ from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
                       Primitive, ResolutionError, SampledFunction, log_lift,
                       make_grid, open_disk_region, plane_region,
                       parse_scene, rasterize_closed, tietze_extend)
-from arakgrid.loglift import _unwrap_on
+from arakgrid.loglift import _bfs_tree, _unwrap_on
 
-from oracles import bfs_unwrap, carrier_loop_extension, nearest_carrier_values
+from oracles import (bfs_tree_reference, bfs_unwrap, carrier_loop_extension,
+                     flood_components, nearest_carrier_values)
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 
@@ -343,3 +344,33 @@ class TestUnwrapOracle:
         for root in (None, (int(iis[-1]), int(js[-1]))):
             got = _unwrap_on(v, ext, root).values
             assert got.tobytes() == bfs_unwrap(v.bits, ext.values, root).tobytes()
+
+
+class TestBfsTreeOracle:
+    """``_bfs_tree`` lists the cells, parents and layers of the deque BFS."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SHAPES, st.data())
+    def test_matches_oracle_on_random_masks(self, shape, data):
+        # one seed per component, the lex-smallest cell or any other (a root
+        # override), and maybe a seed off the domain, which must be ignored
+        nrows, ncols = shape
+        n = nrows * ncols
+        bits = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)), dtype=bool)
+        bits = bits.reshape(nrows, ncols)
+        labels = flood_components(bits, 4)
+        seeds = np.zeros_like(bits)
+        for k in range(labels.max() + 1):
+            iis, js = np.nonzero(labels.T == k)         # lex-smallest first
+            pick = data.draw(st.one_of(st.just(0), st.integers(0, len(js) - 1)))
+            seeds[js[pick], iis[pick]] = True
+        if not bits.all() and data.draw(st.booleans()):
+            js, iis = np.nonzero(~bits)
+            pick = data.draw(st.integers(0, len(js) - 1))
+            seeds[js[pick], iis[pick]] = True
+        cells, parents, bounds = _bfs_tree(bits, seeds)
+        assert (cells.tolist(), parents.tolist(), list(bounds)) == \
+            bfs_tree_reference(bits, seeds)
+        assert cells.dtype == parents.dtype == np.int32
+        assert cells.size == parents.size == bits.sum()

@@ -55,6 +55,8 @@ def install_counters(monkeypatch) -> Counter:
                         counting("edts", grid.ndimage.distance_transform_edt))
     monkeypatch.setattr(grid.GridSpec, "center_abs",
                         counting("center_abs", grid.GridSpec.center_abs))
+    wave_init = builder._Wave.__init__
+    monkeypatch.setattr(builder._Wave, "__init__", counting("waves", wave_init))
     reach = builder._Wave.reach
 
     def counting_layers(wave, cell):
@@ -161,6 +163,47 @@ class TestEscapeLayers:
         code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
         assert code == 0
         assert n["bfs_layers"] == layers
+
+
+class TestEscapeWaves:
+    """A stage hop whose stage has no alpha-reaching component builds no BFS:
+    the walk would find no path.  Building one anyway shows as 3 and 8."""
+
+    @pytest.mark.parametrize("argv, waves", [
+        # one stage hop and the final run to alpha; the hop into the empty
+        # region - (F | K_3) builds none
+        (["build-v", "segment.scene"], 2),
+        (["union", "union_segments.scene"], 6),
+    ], ids=["build-v", "union"])
+    def test_waves(self, monkeypatch, argv, waves):
+        code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
+        assert code == 0
+        assert n["waves"] == waves
+
+
+class TestFilledRegionHoleSet:
+    """``holes`` of a carrier filling the region (region - F empty) is built
+    once per region, outside the 4 kept hole sets, and read back after."""
+
+    def test_repeat_is_same_object_without_labeling(self, monkeypatch):
+        region = open_disk_region(make_grid(-1, -1, 1, 1, 0.125), 0, 0, 0.9)
+        other = topology.holes(region.omega - region.omega, region)
+        calls = Counter()
+        label = topology.label_components
+        monkeypatch.setattr(topology, "label_components", lambda *a, **k: (
+            calls.update(["label"]) or label(*a, **k)))
+        hs = topology.holes(region.omega, region)
+        assert calls["label"] == 1
+        again = topology.holes(grid.CellSet(region.grid, region.omega.bits.copy()),
+                               region)
+        assert again is hs and calls["label"] == 1
+        assert hs.count == 0 and hs.labeling.n == 0 and hs.union.is_empty()
+        assert (hs.labeling.labels == -1).all()
+        for a in (hs.labeling.labels, hs.labeling.alpha_reach, hs.union.bits):
+            assert not a.flags.writeable
+        # kept apart: the 4 slots still hold the empty carrier's hole set
+        assert list(region._hole_sets.values()) == [other]
+        assert topology.holes(region.omega - region.omega, region) is other
 
 
 class TestHoleExtentsWhereRead:
