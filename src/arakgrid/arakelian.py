@@ -89,9 +89,7 @@ class Exhaustion:
             union |= K.bits
         # cells closer to the (possibly window-frame) boundary than the
         # finest threshold are boundary artifacts no level can own
-        reachable = region.omega.bits & (region.boundary_distance()
-                                         >= min(self.r_values))
-        if (reachable & ~union).any():
+        if (region.interior(min(self.r_values)) & ~union).any():
             raise ArakGridError("exhaustion does not cover the region")
 
 
@@ -104,13 +102,27 @@ def _rows_are_runs(bits: np.ndarray) -> bool:
     return not (n != end - first)[n > 0].any()
 
 
+def level_thresholds(delta: float, nlevels: int | None) -> list[float]:
+    """The exhaustion's boundary margins ``delta * 2**(nlevels - k)`` for
+    k = 1 ... nlevels; PreconditionError when nlevels < 1 or the largest
+    overflows a float."""
+    if nlevels is None or nlevels < 1:
+        raise PreconditionError("nlevels must be >= 1")
+    try:
+        return [math.ldexp(delta, nlevels - k) for k in range(1, nlevels + 1)]
+    except OverflowError:
+        raise PreconditionError(f"nlevels={nlevels}: delta * 2**(nlevels - 1) "
+                                "overflows a float") from None
+
+
 def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
                      like: Exhaustion | None = None) -> Exhaustion:
     """The region's exhaustion: nested compact levels.
 
-    Level k keeps cells at least ``r_k = delta * 2**(nlevels-k)`` from the
-    region's complement and, on regions that run off the window, within
-    ``R_k = k / nlevels * half-diagonal`` of the window center.
+    Level k keeps the cells at least ``r_k = delta * 2**(nlevels-k)`` from
+    the region's complement, read off the exact mask ``region.interior(r_k)``
+    rather than a distance field, and, on regions that run off the window,
+    within ``R_k = k / nlevels * half-diagonal`` of the window center.
     Levels are then hole-filled and dilated into their successors so the
     nesting invariants hold exactly; only a level with two runs in a row (a
     punctured region's, say) is labeled for its holes.  Radius caps are
@@ -130,32 +142,26 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
             len(like.r_values), like.r_values, like.R_values, like.center,
             like.capped)
     else:
-        if nlevels is None or nlevels < 1:
-            raise PreconditionError("nlevels must be >= 1")
+        r_values = level_thresholds(grid.delta, nlevels)
         capped = bool(region.alpha_border.any())
         center = grid.window_center
-        try:
-            r_values = [math.ldexp(grid.delta, nlevels - k) for k in range(1, nlevels + 1)]
-        except OverflowError:
-            raise PreconditionError(f"nlevels={nlevels}: delta * 2**(nlevels - 1) "
-                                    "overflows a float") from None
         R_values = [k / nlevels * grid.half_diagonal
                     for k in range(1, nlevels + 1)] if capped else None
     key = (nlevels, tuple(r_values), R_values and tuple(R_values), tuple(center), capped)
     if key in region._exhaustions:
         return region._exhaustions[key]
 
-    dist = region.boundary_distance()
-    X, Y = grid.center_mesh()       # x - 0.0 == x: the origin's field is bit-equal
-    rad = grid.center_abs() if center == (0.0, 0.0) else \
-        np.hypot(X - center[0], Y - center[1])
+    if capped:                      # x - 0.0 == x: the origin's field is bit-equal
+        xs, ys = grid.center_axes()
+        rad = grid.center_abs() if center == (0.0, 0.0) else \
+            np.hypot(xs - center[0], (ys - center[1])[:, None])
 
     levels, ids = [], []
     prev = None
     for k in range(1, nlevels + 1):
-        bits = region.omega.bits & (dist >= r_values[k - 1])
+        bits = region.interior(r_values[k - 1])
         if capped:
-            bits = bits & (rad <= R_values[k - 1])
+            bits &= rad <= R_values[k - 1]
         if prev is not None:
             grown = dilate(prev, 8) & region.omega.bits
             bits = bits | grown
@@ -269,12 +275,25 @@ EVIDENCE_DIVERGENT = "EVIDENCE_DIVERGENT"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _refuted_verdict(hs, region: RegionModel) -> ArakelianVerdict:
-    cells = hs.witness_cells()
-    points = [region.grid.cell_center(i, j) for i, j in cells]
-    witness = {"cell": list(cells[0]), "point": list(points[0])}
-    return ArakelianVerdict(REFUTED, witness=witness,
-                            witnesses=[list(p) for p in points])
+def carrier_verdict(F: CellSet, region: RegionModel) -> ArakelianVerdict | None:
+    """What ``holes(F, region)`` alone decides on the region's window,
+    before any exhaustion level is read: REFUTED on a hole of F, with a
+    witness per hole, INCONCLUSIVE on a window-ambiguous component, else
+    None.  The hole set is the one the region keeps, so a check reads it
+    back."""
+    hs = holes(F, region)
+    if hs.count:
+        cells = hs.witness_cells()
+        points = [region.grid.cell_center(i, j) for i, j in cells]
+        witness = {"cell": list(cells[0]), "point": list(points[0])}
+        return ArakelianVerdict(REFUTED, witness=witness,
+                                witnesses=[list(p) for p in points])
+    if hs.ambiguous_labels:
+        return ArakelianVerdict(
+            INCONCLUSIVE,
+            reason="window-ambiguous complement components; declare the "
+                   "unbounded edges of the scene")
+    return None
 
 
 def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
@@ -297,7 +316,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
     grid labels them again.
 
     Precedence: a hole of the carrier alone refutes; ambiguity is
-    inconclusive; strict growth of some level's hole union across >= 3
+    inconclusive (both ``carrier_verdict``, which a caller can run before
+    it builds the exhaustion); strict growth of some level's hole union across >= 3
     consecutive windows is divergence evidence; otherwise all levels must
     stay within their declared bounds on every window to verify.
     """
@@ -319,14 +339,9 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
                     "a scene builder is required to rasterize on other windows")
             F_g, region_g = scene_builder(g)
 
-        hs = holes(F_g, region_g)
-        if hs.count:
-            return _refuted_verdict(hs, region_g)
-        if hs.ambiguous_labels:
-            return ArakelianVerdict(
-                INCONCLUSIVE,
-                reason="window-ambiguous complement components; declare the "
-                       "unbounded edges of the scene")
+        decided = carrier_verdict(F_g, region_g)
+        if decided is not None:
+            return decided
 
         exh_g = exhaustion if on_base else build_exhaustion(region_g, like=exhaustion)
         if exh_g.level_ids != exhaustion.level_ids:

@@ -333,12 +333,15 @@ def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
 
     Disks and curves follow the region's 3-level exhaustion, which the
     region builds once and shares: a ``check_arakelian`` run on
-    ``build_exhaustion(region, 3)`` has already built it.
+    ``build_exhaustion(region, 3)`` has already built it.  Without
+    obstacles (U = region, as in every lift) there are no disks and it is
+    not built.
     """
     if not F.issubset(U) or not U.issubset(region.omega):
         raise PreconditionError("need F inside U inside the region")
     cover = disk_cover(F, U, region)
-    plan = escape_curves(cover, F, region, build_exhaustion(region, 3))
+    plan = escape_curves(cover, F, region, build_exhaustion(region, 3)) \
+        if cover.disks else EscapePlan([], CellSet.empty(region.grid))
     v = (U - cover.covered) - plan.union
     return _checked("neighborhood", v, cover, plan, *_certify(v, F, U, region))
 

@@ -110,13 +110,18 @@ def _schedule(scene: Scene, windows: str | None):
 
 def _cmd_check(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster(args.set)
-    exh = ak.build_exhaustion(region, args.levels)
+    ak.level_thresholds(region.grid.delta, args.levels)   # a bad --levels is exit 3
     schedule = _schedule(scene, args.windows)
 
     def rebuild(g):
         return scene.raster(args.set, g), scene.region(g)
 
-    verdict = ak.check_arakelian(F, region, exh, schedule, scene_builder=rebuild)
+    # the check's first window decides on F's holes before it reads a level
+    verdict = ak.carrier_verdict(F, region) \
+        if schedule[0].key() == region.grid.key() else None
+    if verdict is None:
+        verdict = ak.check_arakelian(F, region, ak.build_exhaustion(region, args.levels),
+                                     schedule, scene_builder=rebuild)
     rep = verdict.to_json_dict()
     report = _report(rep["status"], rep["witnesses"], rep["extents"])
     lines = [f"status: {verdict.status}"

@@ -570,12 +570,20 @@ def distance_field(source: CellSet) -> DistanceField:
 
     Nearest-site indices come from an exact Euclidean distance transform;
     the distances themselves are recomputed from integer squared offsets so
-    the result matches a brute-force pairwise minimum bit for bit.
+    the result matches a brute-force pairwise minimum bit for bit.  Offsets
+    are squared in place in int64: a 1 x 2**24 window reaches 2**48.
     """
     grid = source.grid
     if source.is_empty():
         return DistanceField(grid, np.full((grid.nrows, grid.ncols), np.inf))
-    inds = nearest_source_indices(source)
-    jj, ii = np.indices(source.bits.shape)
-    d2 = (jj - inds[0]).astype(np.int64) ** 2 + (ii - inds[1]).astype(np.int64) ** 2
-    return DistanceField(grid, np.sqrt(d2.astype(np.float64)) * grid.delta)
+    rows, cols = nearest_source_indices(source)
+    d2 = rows - np.arange(grid.nrows, dtype=np.int64)[:, None]
+    d2 *= d2
+    dc = cols - np.arange(grid.ncols, dtype=np.int64)
+    del rows, cols
+    dc *= dc
+    d2 += dc
+    del dc
+    out = np.sqrt(d2, dtype=np.float64)
+    out *= grid.delta
+    return DistanceField(grid, out)

@@ -144,7 +144,7 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     in_v = in_v[np.lexsort(w[in_v].view(np.int64).reshape(-1, 2).T)]
     key = w[in_v].view(np.int64).reshape(-1, 2)
     new = np.ones(in_v.size, dtype=bool)
-    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    new[1:] = (key[1:, 0] != key[:-1, 0]) | (key[1:, 1] != key[:-1, 1])
     ids = np.zeros(w.size, dtype=np.int32)
     ids[in_v] = np.cumsum(new, dtype=np.int32) - 1
     distinct, many = w[in_v[new]].tolist(), (np.bincount(ids[in_v]) > 1).tolist()

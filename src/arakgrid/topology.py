@@ -15,6 +15,8 @@ the finite picture cannot tell whether they escape, so answers that depend on
 them degrade to inconclusive instead of guessing.
 """
 
+import bisect
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -90,33 +92,86 @@ class RegionModel:
         self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
         self.ambiguous_contact = self.omega.bits & border & ~alpha
 
-    def frame_distance(self) -> np.ndarray:
-        """Per-cell distance to the nearest *undeclared* window edge.
-
-        An undeclared edge may be the region's boundary as far as the window
-        knows, so it bounds compactness; edges declared unbounded do not.
-        ``inf`` everywhere when every edge is declared.
-        """
+    def _frame_gaps(self) -> list[np.ndarray]:
+        """Each cell centre's distance to every *undeclared* window edge, one
+        centre-axis array per edge, shaped to broadcast over the window.  An
+        undeclared edge may be the region's boundary as far as the window
+        knows, so it bounds compactness; edges declared unbounded do not."""
         g = self.grid
         xs, ys = g.center_axes()
         ys = ys[:, None]
-        out = np.full((g.nrows, g.ncols), np.inf)
         gaps = (g.ymax - ys, ys - g.ymin, g.xmax - xs, xs - g.xmin)   # N S E W
-        for edge, gap in zip(_EDGES, gaps):
-            if edge not in self.declared_edges:
-                out = np.minimum(out, gap)
-        return out
+        return [gap for edge, gap in zip(_EDGES, gaps)
+                if edge not in self.declared_edges]
 
     def boundary_distance(self) -> np.ndarray:
         """Per-cell distance to the region's complement, as the window sees
         it: visible complement cells (center to center) and undeclared window
-        edges both count.  ``inf`` when neither exists.  Computed on first
-        use only; the array is read-only."""
+        edges both count.  Exact, built on the first call and read-only.
+        Exhaustion levels read ``interior`` masks instead, so only a caller
+        that reads a distance (disk radii, a hole union's ``min_bd_dist``)
+        builds it.  A region that nothing visible bounds (no complement cell,
+        every edge declared) reads a zero-byte ``inf``: no transform runs."""
         if self._boundary_distance is None:
-            vals = distance_field(CellSet(self.grid, ~self.omega.bits)).values
-            self._boundary_distance = np.minimum(vals, self.frame_distance())
-            self._boundary_distance.flags.writeable = False
+            gaps = self._frame_gaps()
+            if gaps or not self.omega.bits.all():
+                dist = distance_field(CellSet(self.grid, ~self.omega.bits)).values
+                for gap in gaps:
+                    np.minimum(dist, gap, out=dist)
+                dist.flags.writeable = False
+            else:
+                dist = np.broadcast_to(np.inf, self.omega.bits.shape)
+            self._boundary_distance = dist
         return self._boundary_distance
+
+    def interior(self, r: float) -> np.ndarray:
+        """The region cells at boundary distance at least r, as a new array:
+        bit-equal to ``omega & (boundary_distance() >= r)`` (twin:
+        ``oracles.interior_reference``), mostly without building the field.
+
+        Each undeclared edge is one test on a centre axis.  A complement cell
+        at squared offset d2 lies ``sqrt(d2) * delta`` away, the field's own
+        float expression, which never falls as d2 grows; so, with t the least
+        d2 it maps to r or more (a bisection), a cell stays exactly when no
+        complement cell lies at a squared offset below t (``_near``).  When
+        those offsets span more than ``_DISK_ROWS`` rows, as thresholds from
+        5 levels up do, the field is read instead.
+        """
+        top = (_DISK_ROWS // 2 + 1) ** 2      # offsets below it span _DISK_ROWS rows
+        t = bisect.bisect_left(range(top + 1), True,
+                               key=lambda d2: math.sqrt(d2) * self.grid.delta >= r)
+        if t > top:                           # a NaN r lands here too
+            return self.omega.bits & (self.boundary_distance() >= r)
+        out = self.omega.bits.copy()
+        for gap in self._frame_gaps():
+            out &= gap >= r
+        if t and not self.omega.bits.all():
+            out &= ~_near(~self.omega.bits, t)
+        return out
+
+
+# the most rows of offsets ``RegionModel.interior`` ORs together; the default
+# 3 levels need 7, 4 levels 15
+_DISK_ROWS = 17
+
+
+def _near(bits: np.ndarray, t: int) -> np.ndarray:
+    """The cells with a set cell of ``bits`` at a squared offset below t:
+    for each disk row a, ``bits`` ORed along their rows out to the half-width
+    isqrt(t - 1 - a*a), one dilation per half-width, then shifted a rows."""
+    nrows, ncols = bits.shape
+    near = np.zeros_like(bits)
+    wide, w = bits.copy(), 0
+    for a in range(min(math.isqrt(t - 1), nrows - 1), -1, -1):   # widest last
+        half = min(math.isqrt(t - 1 - a * a), ncols - 1)
+        while w < half:
+            w += 1
+            wide[:, w:] |= bits[:, :-w]
+            wide[:, :-w] |= bits[:, w:]
+        near[a:] |= wide[:nrows - a]
+        if a:
+            near[:-a] |= wide[a:]
+    return near
 
 
 def plane_region(grid: GridSpec) -> RegionModel:

@@ -132,6 +132,28 @@ def brute_distances(source: np.ndarray, delta: float) -> np.ndarray:
     return np.sqrt(best.astype(np.float64)) * delta
 
 
+def interior_reference(region, r: float) -> np.ndarray:
+    """Region cells whose brute-force boundary distance is at least r: the
+    minimum over every complement cell in the window (``sqrt(d2) * delta``
+    per pair) and over every undeclared window edge (centre to edge, cell by
+    cell); the twin of ``RegionModel.interior``."""
+    g, omega = region.grid, region.omega.bits
+    nrows, ncols = omega.shape
+    jj, ii = np.indices(omega.shape)
+    best = np.full(omega.shape, np.inf)
+    for cj, ci in zip(*np.nonzero(~omega)):
+        d2 = (jj - cj).astype(np.int64) ** 2 + (ii - ci).astype(np.int64) ** 2
+        np.minimum(best, np.sqrt(d2.astype(np.float64)) * g.delta, out=best)
+    for j in range(nrows):
+        for i in range(ncols):
+            x, y = g.cell_center(i, j)
+            gaps = {"N": g.ymax - y, "S": y - g.ymin, "E": g.xmax - x, "W": x - g.xmin}
+            for edge, gap in gaps.items():
+                if edge not in region.declared_edges:
+                    best[j, i] = min(best[j, i], gap)
+    return omega & (best >= r)
+
+
 def disk_cover_reference(F, U, region):
     """The disk cover the old way: every cell's radius from a full
     pairwise-minimum distance field (``brute_distances``), the next centre

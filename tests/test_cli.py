@@ -377,6 +377,13 @@ class TestHugeAndUnreadableInput:
                               "--levels", "2000"])
         assert code == 3 and "Traceback" not in out + err
 
+    @pytest.mark.parametrize("levels", ["0", "2000"])
+    def test_bad_levels_on_a_refuted_carrier(self, levels):
+        # a carrier with a hole is refuted before any level is built; a bad
+        # --levels is an input error all the same
+        code, out, err = run(["check", scene("ex_2_10.scene"), "--levels", levels])
+        assert code == 3 and "Traceback" not in out + err
+
     def test_level_limit_follows_the_threshold_arithmetic(self):
         from arakgrid import (PreconditionError, build_exhaustion, make_grid,
                               plane_region)

@@ -257,6 +257,13 @@ class TestDistanceField:
         assert df.at(2, 1) == pytest.approx(0.5, abs=0)
         assert df.at(1, 1) == 0.0
 
+    def test_thin_window_offsets_do_not_wrap(self):
+        # squared offsets reach 69999**2 > 2**31: int32 arithmetic would wrap
+        g = make_grid(0, 0, 70000, 1, 1)
+        df = distance_field(CellSet.from_cells(g, [(0, 0)]))
+        assert df.values.shape == (1, 70000)
+        assert df.at(69999, 0) == 69999.0
+
     def test_two_sources_match_brute_force(self):
         g = make_grid(0, 0, 6, 6, 1)
         src = CellSet.from_cells(g, [(0, 0), (3, 4)])

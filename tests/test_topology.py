@@ -13,8 +13,8 @@ from arakgrid import topology
 from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
-from oracles import (flood_components, naive_dilate, naive_holes, naive_reach,
-                     naive_sphere_connected)
+from oracles import (flood_components, interior_reference, naive_dilate,
+                     naive_holes, naive_reach, naive_sphere_connected)
 
 rng = np.random.default_rng(20250810)
 
@@ -242,6 +242,63 @@ class TestDilate:
             "diagonal", "anti-diagonal"])
     def test_edge_cases(self, bits, connectivity):
         self._check(bits, connectivity)
+
+
+class TestInterior:
+    """``RegionModel.interior`` against ``oracles.interior_reference`` and
+    the boundary-distance field it stands in for."""
+
+    @staticmethod
+    def _region(nrows, ncols, delta, edges, density, seed):
+        g = make_grid(0, 0, ncols * delta, nrows * delta, delta)
+        bits = np.random.default_rng(seed).random((g.nrows, g.ncols)) < density
+        bits[0, 0] = True
+        return custom_region(g, CellSet(g, bits), unbounded_edges=edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from([1 / 16, 1 / 32, 0.1, 0.3]), st.integers(0, 4),
+           st.sampled_from([0.7, 1.0, 1.3]),
+           st.sets(st.sampled_from("NSEW")).map(sorted),
+           st.floats(0.3, 1.0), st.integers(0, 2 ** 32 - 1))
+    @example(1, 40, 1 / 16, 2, 1.0, [], 0.8, 1)          # one row
+    @example(40, 1, 0.1, 1, 1.3, ["N", "S"], 0.9, 2)     # one column
+    @example(12, 9, 0.3, 0, 0.7, ["N", "S", "E", "W"], 1.0, 3)  # no bound
+    @example(7, 9, 1 / 16, 1, 0.75, [], 1.0, 5)    # r ties the edge gaps
+    def test_matches_reference(self, nrows, ncols, delta, m, scale, edges,
+                               density, seed):
+        region = self._region(nrows, ncols, delta, edges, density, seed)
+        r = delta * 2 ** m * scale
+        got = region.interior(r)
+        assert got.dtype == bool and got.flags.writeable
+        assert np.array_equal(got, interior_reference(region, r))
+        # thresholds whose offset disk spans at most 17 rows build no field
+        assert (region._boundary_distance is None) == (9 * delta >= r)
+        field = region.omega.bits & (region.boundary_distance() >= r)
+        assert np.array_equal(got, field)
+
+    def test_large_threshold_reads_the_field(self, monkeypatch):
+        region = self._region(30, 40, 1 / 32, ["E"], 0.97, 4)
+        r = 2 ** 5 / 32 * 1.3                       # m = 5: offsets span 83 rows
+        calls = []
+        field = topology.distance_field
+        monkeypatch.setattr(topology, "distance_field",
+                            lambda *a: calls.append(1) or field(*a))
+        got = region.interior(r)
+        assert calls == [1]
+        assert np.array_equal(got, interior_reference(region, r))
+
+    def test_unbounded_region_reads_inf(self, monkeypatch):
+        # no complement cell, every edge declared: no transform, no memory
+        monkeypatch.setattr(topology, "distance_field", None)
+        region = plane_region(make_grid(-1, -1, 1, 2, 0.25))
+        dist = region.boundary_distance()
+        assert dist.strides == (0, 0)
+        assert region.boundary_distance() is dist
+        assert np.isinf(dist).all() and dist.shape == (12, 8)
+        with pytest.raises(ValueError):
+            dist[0, 0] = 0.0
+        assert region.interior(1.0).all()
 
 
 def _ring3(grid):

@@ -100,6 +100,13 @@ class TestLabelingsPerCommand:
         arakelian.build_exhaustion(open_disk_region(g, 0, 0, 1, punctured=True), 3)
         assert n["labelings"] >= 1
 
+    def test_refuted_check_builds_no_exhaustion(self, monkeypatch):
+        # region - F has a hole: the verdict is decided before any level
+        code, n = count_work(monkeypatch, ["check", scene("ex_2_10.scene")])
+        assert code == 1
+        assert n["labelings"] == 1
+        assert n["exhaustions"] == n["boundary_fields"] == 0
+
     def test_holes_with_compact(self, monkeypatch):
         code, n = count_work(monkeypatch, [
             "holes", scene("intro_staircase.scene"), "--with-k", "disk:0,0,2"])
@@ -149,6 +156,8 @@ class TestLabelingsPerCommand:
         code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0
         assert n["labelings"] == 1
+        # U is the whole region: no disks, so no exhaustion to route by
+        assert n["exhaustions"] == 0
 
 
 class TestEscapeLayers:
@@ -303,23 +312,36 @@ class TestOneExhaustionPerRegion:
 
 
 class TestBoundaryDistancePerRegion:
-    """``RegionModel.boundary_distance`` is one exact EDT per region, however
-    many exhaustions, hole sets and disk covers read it."""
+    """``RegionModel.boundary_distance`` is built only where a distance is
+    read (disk radii, a hole union's ``min_bd_dist``), at most once per
+    region.  Exhaustion levels read exact ``interior`` masks, and a region
+    that nothing visible bounds reads a zero-byte ``inf``: a field per
+    exhaustion shows as 3, 1, 1, 1 on the plane scenes, and as 1 on the
+    bounded check."""
 
     @pytest.mark.parametrize("argv, code, fields", [
-        (["check", "intro_staircase.scene", "--windows", "8,16,32"], 2, 3),
-        (["build-v", "segment.scene"], 0, 1),
-        (["union", "union_segments.scene"], 0, 1),
-        (["refute", "nested_rings.scene"], 1, 1),
-    ], ids=["check-windows", "build-v", "union", "refute"])
+        (["check", "intro_staircase.scene", "--windows", "8,16,32"], 2, 0),
+        (["build-v", "segment.scene"], 0, 0),
+        (["union", "union_segments.scene"], 0, 0),
+        (["refute", "nested_rings.scene"], 1, 0),
+        (["check", "ex_2_10.scene", "--set", "F1"], 0, 0),
+    ], ids=["check-windows", "build-v", "union", "refute", "check-bounded"])
     def test_one_field_per_region(self, monkeypatch, argv, code, fields):
         got, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:]])
         assert got == code
         assert n["boundary_fields"] == fields
 
+    def test_disk_radii_read_the_field(self, monkeypatch, tmp_path):
+        # a bounded region with obstacles: the radii read the field, once
+        path = tmp_path / "s.scene"
+        path.write_text(_DISK + _SEGMENT + "set obstacles point 0 0.25\n"
+                        "set obstacles point 0.5 -0.5\n")
+        code, n = count_work(monkeypatch, ["build-v", str(path)])
+        assert code == 0
+        assert n["boundary_fields"] == 1
+
     def test_field_is_read_only(self):
-        from arakgrid import make_grid, plane_region
-        region = plane_region(make_grid(-1, -1, 1, 1, 0.25))
+        region = open_disk_region(make_grid(-1, -1, 1, 1, 0.25), 0, 0, 0.9)
         dist = region.boundary_distance()
         assert region.boundary_distance() is dist
         with pytest.raises(ValueError):
