@@ -296,14 +296,16 @@ def carrier_verdict(F: CellSet, region: RegionModel) -> ArakelianVerdict | None:
     return None
 
 
-def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
+def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion | int,
                     window_schedule: list[GridSpec] | None = None, *,
                     scene_builder=None) -> ArakelianVerdict:
     """Run the staged check over an exhaustion and a window schedule.
 
     ``exhaustion`` is the region's own, ``build_exhaustion(region, n)``; the
     caller picks only n.  It is used as given on the base window, and with
-    n = 3 it is the very object ``build_v`` later reads on this region.
+    n = 3 it is the very object ``build_v`` later reads on this region.  An
+    int n stands for ``build_exhaustion(region, n)``, built only once the
+    first window's carrier leaves the check undecided (``carrier_verdict``).
     ``window_schedule`` lists grids to re-rasterize the scene on (the first
     entries may include the base grid); rebuilding on grids other than the
     region's own requires ``scene_builder(grid) -> (F, region)``.  Each such
@@ -316,10 +318,10 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
     grid labels them again.
 
     Precedence: a hole of the carrier alone refutes; ambiguity is
-    inconclusive (both ``carrier_verdict``, which a caller can run before
-    it builds the exhaustion); strict growth of some level's hole union across >= 3
-    consecutive windows is divergence evidence; otherwise all levels must
-    stay within their declared bounds on every window to verify.
+    inconclusive (both ``carrier_verdict``); strict growth of some level's
+    hole union across >= 3 consecutive windows is divergence evidence;
+    otherwise all levels must stay within their declared bounds on every
+    window to verify.
     """
     base_grid = region.grid
     if window_schedule is None or len(window_schedule) == 0:
@@ -342,6 +344,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion,
         decided = carrier_verdict(F_g, region_g)
         if decided is not None:
             return decided
+        if not isinstance(exhaustion, Exhaustion):
+            exhaustion = build_exhaustion(region, exhaustion)
 
         exh_g = exhaustion if on_base else build_exhaustion(region_g, like=exhaustion)
         if exh_g.level_ids != exhaustion.level_ids:

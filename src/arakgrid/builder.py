@@ -242,7 +242,7 @@ def _walk_down(start: tuple[int, int],
 
 
 def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
-                  exhaustion: Exhaustion) -> EscapePlan:
+                  exhaustion: Exhaustion | None) -> EscapePlan:
     """Join every disk center to alpha by a staged shortest cell path.
 
     A center in annulus n is routed inside its component of the region minus
@@ -340,8 +340,8 @@ def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
     if not F.issubset(U) or not U.issubset(region.omega):
         raise PreconditionError("need F inside U inside the region")
     cover = disk_cover(F, U, region)
-    plan = escape_curves(cover, F, region, build_exhaustion(region, 3)) \
-        if cover.disks else EscapePlan([], CellSet.empty(region.grid))
+    plan = escape_curves(cover, F, region,
+                         build_exhaustion(region, 3) if cover.disks else None)
     v = (U - cover.covered) - plan.union
     return _checked("neighborhood", v, cover, plan, *_certify(v, F, U, region))
 

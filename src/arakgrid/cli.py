@@ -116,12 +116,7 @@ def _cmd_check(args, scene: Scene, region: RegionModel) -> _Outcome:
     def rebuild(g):
         return scene.raster(args.set, g), scene.region(g)
 
-    # the check's first window decides on F's holes before it reads a level
-    verdict = ak.carrier_verdict(F, region) \
-        if schedule[0].key() == region.grid.key() else None
-    if verdict is None:
-        verdict = ak.check_arakelian(F, region, ak.build_exhaustion(region, args.levels),
-                                     schedule, scene_builder=rebuild)
+    verdict = ak.check_arakelian(F, region, args.levels, schedule, scene_builder=rebuild)
     rep = verdict.to_json_dict()
     report = _report(rep["status"], rep["witnesses"], rep["extents"])
     lines = [f"status: {verdict.status}"

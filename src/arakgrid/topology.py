@@ -127,32 +127,25 @@ class RegionModel:
     def interior(self, r: float) -> np.ndarray:
         """The region cells at boundary distance at least r, as a new array:
         bit-equal to ``omega & (boundary_distance() >= r)`` (twin:
-        ``oracles.interior_reference``), mostly without building the field.
+        ``oracles.interior_reference``), without building the field.
 
         Each undeclared edge is one test on a centre axis.  A complement cell
         at squared offset d2 lies ``sqrt(d2) * delta`` away, the field's own
         float expression, which never falls as d2 grows; so, with t the least
-        d2 it maps to r or more (a bisection), a cell stays exactly when no
-        complement cell lies at a squared offset below t (``_near``).  When
-        those offsets span more than ``_DISK_ROWS`` rows, as thresholds from
-        5 levels up do, the field is read instead.
+        d2 it maps to r or more (a bisection up to one past the window's
+        largest offset), a cell stays exactly when no complement cell lies at
+        a squared offset below t (``_near``).
         """
-        top = (_DISK_ROWS // 2 + 1) ** 2      # offsets below it span _DISK_ROWS rows
-        t = bisect.bisect_left(range(top + 1), True,
+        nrows, ncols = self.omega.bits.shape
+        top = (nrows - 1) ** 2 + (ncols - 1) ** 2 + 1
+        t = bisect.bisect_left(range(top), True,
                                key=lambda d2: math.sqrt(d2) * self.grid.delta >= r)
-        if t > top:                           # a NaN r lands here too
-            return self.omega.bits & (self.boundary_distance() >= r)
-        out = self.omega.bits.copy()
+        out = self.omega.bits & (r <= math.inf)     # a NaN r keeps no cell
         for gap in self._frame_gaps():
             out &= gap >= r
         if t and not self.omega.bits.all():
             out &= ~_near(~self.omega.bits, t)
         return out
-
-
-# the most rows of offsets ``RegionModel.interior`` ORs together; the default
-# 3 levels need 7, 4 levels 15
-_DISK_ROWS = 17
 
 
 def _near(bits: np.ndarray, t: int) -> np.ndarray:

@@ -384,6 +384,18 @@ class TestHugeAndUnreadableInput:
         code, out, err = run(["check", scene("ex_2_10.scene"), "--levels", levels])
         assert code == 3 and "Traceback" not in out + err
 
+    def test_ambiguous_carrier_in_a_thin_region(self, tmp_path):
+        # every cell of the one-row window lies on an undeclared edge, so no
+        # level is nonempty; the carrier's ambiguity decides before any is built
+        path = tmp_path / "thin.scene"
+        path.write_text("grid 0 0 4 0.25 0.25\nomega rect -1 -1 5 1\n"
+                        "set F point 2.1 0.1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run_json(["check", str(path)])
+        assert code == 2 and report["status"] == "INCONCLUSIVE"
+        assert "Traceback" not in err
+
     def test_level_limit_follows_the_threshold_arithmetic(self):
         from arakgrid import (PreconditionError, build_exhaustion, make_grid,
                               plane_region)

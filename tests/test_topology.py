@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -272,21 +274,22 @@ class TestInterior:
         got = region.interior(r)
         assert got.dtype == bool and got.flags.writeable
         assert np.array_equal(got, interior_reference(region, r))
-        # thresholds whose offset disk spans at most 17 rows build no field
-        assert (region._boundary_distance is None) == (9 * delta >= r)
+        assert region._boundary_distance is None     # no field is built
         field = region.omega.bits & (region.boundary_distance() >= r)
         assert np.array_equal(got, field)
 
-    def test_large_threshold_reads_the_field(self, monkeypatch):
+    @pytest.mark.parametrize("r", [2 ** 5 / 32 * 1.3, 2 ** 9 / 32, 1e300,
+                                   math.inf, math.nan],
+                             ids=["m=5", "beyond-window", "huge", "inf", "nan"])
+    def test_large_threshold_builds_no_field(self, monkeypatch, r):
+        # offsets up to the whole window, and past it, are still ORed disks
         region = self._region(30, 40, 1 / 32, ["E"], 0.97, 4)
-        r = 2 ** 5 / 32 * 1.3                       # m = 5: offsets span 83 rows
-        calls = []
-        field = topology.distance_field
-        monkeypatch.setattr(topology, "distance_field",
-                            lambda *a: calls.append(1) or field(*a))
+        monkeypatch.setattr(topology, "distance_field", None)
         got = region.interior(r)
-        assert calls == [1]
+        monkeypatch.undo()
         assert np.array_equal(got, interior_reference(region, r))
+        field = region.omega.bits & (region.boundary_distance() >= r)
+        assert np.array_equal(got, field)
 
     def test_unbounded_region_reads_inf(self, monkeypatch):
         # no complement cell, every edge declared: no transform, no memory
@@ -299,6 +302,7 @@ class TestInterior:
         with pytest.raises(ValueError):
             dist[0, 0] = 0.0
         assert region.interior(1.0).all()
+        assert not region.interior(math.nan).any()
 
 
 def _ring3(grid):
