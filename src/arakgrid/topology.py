@@ -140,7 +140,8 @@ class RegionModel:
         top = (nrows - 1) ** 2 + (ncols - 1) ** 2 + 1
         t = bisect.bisect_left(range(top), True,
                                key=lambda d2: math.sqrt(d2) * self.grid.delta >= r)
-        out = self.omega.bits & (r <= math.inf)     # a NaN r keeps no cell
+        # a NaN r keeps no cell, as ``field >= r`` does
+        out = self.omega.bits.copy() if r <= math.inf else np.zeros_like(self.omega.bits)
         for gap in self._frame_gaps():
             out &= gap >= r
         if t and not self.omega.bits.all():
