@@ -307,7 +307,8 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion | in
     int n stands for ``build_exhaustion(region, n)``, built only once the
     first window's carrier leaves the check undecided (``carrier_verdict``).
     ``window_schedule`` lists grids to re-rasterize the scene on (the first
-    entries may include the base grid); rebuilding on grids other than the
+    entries may include the base grid), each containing the base window
+    (PreconditionError otherwise); rebuilding on grids other than the
     region's own requires ``scene_builder(grid) -> (F, region)``.  Each such
     region builds its exhaustion from the *base* thresholds, so each level
     is a fixed compact set observed through growing windows.
@@ -326,6 +327,9 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion | in
     base_grid = region.grid
     if window_schedule is None or len(window_schedule) == 0:
         window_schedule = [base_grid]
+    if any(g.xmin > base_grid.xmin or g.ymin > base_grid.ymin or g.xmax < base_grid.xmax
+           or g.ymax < base_grid.ymax for g in window_schedule):
+        raise PreconditionError("every scheduled window must contain the base window")
 
     per_window: list[list[ExtentRecord]] = []
     window_tops: list[float] = []

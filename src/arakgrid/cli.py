@@ -105,6 +105,10 @@ def _schedule(scene: Scene, windows: str | None):
         tops = [float(v) for v in windows.split(",")]
     except ValueError as exc:
         raise InputError(f"bad --windows list: {exc}") from exc
+    # each window must contain the last, the first the scene's own; NaN fails
+    if not (tops[0] >= scene.grid.ymax and all(a < b for a, b in zip(tops, tops[1:]))):
+        raise InputError(f"--windows tops must rise strictly from the scene's "
+                         f"ymax {scene.grid.ymax:g}")
     return [scene.grid.with_ymax(t) for t in tops]
 
 

@@ -17,7 +17,7 @@ them degrade to inconclusive instead of guessing.
 
 import bisect
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
@@ -169,9 +169,19 @@ def _near(bits: np.ndarray, t: int) -> np.ndarray:
 
 
 def plane_region(grid: GridSpec) -> RegionModel:
-    """The whole plane seen through the window; every edge continues outward."""
-    return RegionModel(grid, CellSet.full(grid), frozenset(_EDGES),
-                       simply_connected=True)
+    """The whole plane seen through the window; every edge continues outward.
+    One region per grid, kept on it, so every call on the grid shares its
+    exhaustions and hole sets; omega and masks are read-only.  It lives on an
+    equal copy of the grid, so no cycle keeps it once the grid is freed."""
+    if "_plane_region" not in grid.__dict__:
+        own = replace(grid)
+        region = RegionModel(own, CellSet.full(own), frozenset(_EDGES),
+                             simply_connected=True)
+        for a in (region.omega.bits, region.alpha_border, region.alpha_adjacent,
+                  region.ambiguous_contact, region.window_border):
+            a.flags.writeable = False
+        object.__setattr__(grid, "_plane_region", region)    # frozen dataclass
+    return grid.__dict__["_plane_region"]
 
 
 def open_disk_region(grid: GridSpec, cx: float, cy: float, r: float,
@@ -274,9 +284,9 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
 
     The one place a hole set is reused: the region keeps the last 4 returned
     for a non-empty region - F, keyed on F's cells, oldest evicted first,
-    with read-only arrays.  So the check, the alpha neighborhood and escape
-    routing share each labeling.  An empty region - F (F fills the region)
-    has one hole set per region, kept apart; its labeling runs no scan."""
+    with read-only arrays.  So the check, escape routing and later calls on a
+    ``plane_region`` share each labeling.  An empty region - F (F fills the
+    region) has one hole set per region, kept apart; its labeling runs no scan."""
     if not F.issubset(region.omega):
         raise PreconditionError("carrier set must lie inside the region")
     key = np.packbits(F.bits).tobytes()

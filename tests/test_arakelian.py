@@ -280,6 +280,18 @@ class TestCheckArakelian:
         with pytest.raises(PreconditionError):
             check_arakelian(F, region, exh, [g.with_ymax(4)])
 
+    @pytest.mark.parametrize("window", [(-3, -3, 3, 4), (-2, -3, 3, 8),
+                                        (-3, -3, 2.5, 16)])
+    def test_schedule_windows_contain_the_base_window(self, window):
+        # levels are the base window's compact sets: a window that does not
+        # hold them all would clip them
+        sc = _staircase_scene()
+        sched = [make_grid(*window, sc.grid.delta)]
+        with pytest.raises(PreconditionError):
+            check_arakelian(sc.raster("F"), sc.region(), 3, sched,
+                            scene_builder=lambda g: (sc.raster("F", g),
+                                                     sc.region(g)))
+
     def test_refuted_witness_revalidates_on_rebuilt_scene(self):
         text = "grid -1.25 -1.25 1.25 1.25 0.0078125\nfixture ex_2_10 0.3 0.6\n"
         sc = parse_scene(text)

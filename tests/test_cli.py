@@ -292,6 +292,15 @@ class TestNonFiniteInput:
         code, out, err = run(args)
         assert code == 3 and "Traceback" not in out + err
 
+    @pytest.mark.parametrize("windows", ["4", "8,8", "32,16,8"])
+    def test_window_schedule_grows_from_the_scene_window(self, windows):
+        # the staircase's own window tops out at 8: a schedule that starts
+        # below it or does not rise strictly is an input error
+        code, out, err = run(["check", scene("intro_staircase.scene"),
+                              "--windows", windows])
+        assert code == 3 and "Traceback" not in out + err
+        assert "--windows" in err
+
     def test_csv_row(self, tmp_path):
         csv_path = tmp_path / "nan.csv"
         csv_path.write_text("x,y,re,im\n1.0,0.0,nan,0.0\n")

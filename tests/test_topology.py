@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arakgrid import (CellSet, InputError, NotSimplyConnectedError,
-                      PreconditionError, Primitive,
+                      PreconditionError, Primitive, build_exhaustion,
                       compactified_complement_connected, holes,
                       label_components, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed,
@@ -452,6 +454,43 @@ class TestHoleSetsKept:
         other = make_grid(1, 0, 6, 5, 1)            # same shape, another window
         with pytest.raises(InputError):
             holes(CellSet(other, F.bits.copy()), region)
+
+
+class TestPlaneRegionPerGrid:
+    """``plane_region`` builds one region per grid object and keeps it on the
+    grid: every call on the window shares its exhaustions and hole sets, no
+    caller can write to its arrays, and it dies with the grid."""
+
+    def test_same_region_per_grid_object(self):
+        g = make_grid(-1, -1, 1, 1, 0.25)
+        region = plane_region(g)
+        assert plane_region(g) is region
+        fresh = make_grid(-1, -1, 1, 1, 0.25)       # equal values, another grid
+        assert fresh == g and plane_region(fresh) is not region
+        assert plane_region(fresh).grid == fresh
+
+    def test_arrays_reject_writes(self):
+        region = plane_region(make_grid(-1, -1, 1, 1, 0.25))
+        for arr in (region.omega.bits, region.alpha_border,
+                    region.alpha_adjacent, region.ambiguous_contact,
+                    region.window_border):
+            with pytest.raises(ValueError):
+                arr[0, 0] = False
+
+    def test_freed_with_its_grid(self):
+        # nothing the region keeps (hole sets, exhaustion) refers back to
+        # the grid, so reference counting frees it, with no collector run
+        g = make_grid(-1, -1, 1, 1, 0.25)
+        region = plane_region(g)
+        holes(_ring3(g), region)
+        build_exhaustion(region, 3)
+        ref = weakref.ref(region)
+        gc.disable()
+        try:
+            del g, region
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCompactified:

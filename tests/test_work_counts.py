@@ -311,6 +311,56 @@ class TestOneExhaustionPerRegion:
         assert n["labelings"] == 4
 
 
+def _fresh_plane(g):
+    """A plane region of its own, as ``plane_region`` built on every call
+    before it kept one per grid."""
+    return topology.custom_region(g, grid.CellSet.full(g), unbounded_edges=("all",),
+                                  simply_connected=True)
+
+
+class TestOnePlaneRegionPerGrid:
+    """Every ``plane_region`` call on a grid returns the grid's one region,
+    so the calls share its exhaustion and hole sets; against a fresh region
+    per call (``_fresh_plane``), no call labels more."""
+
+    @pytest.mark.parametrize("make, regions, exhaustions", [
+        (plane_region, 1, 1), (_fresh_plane, 2, 2)], ids=["shared", "fresh"])
+    def test_two_checks(self, monkeypatch, make, regions, exhaustions):
+        g = make_grid(-2, -2, 2, 2, 1 / 16)
+        F = rasterize_closed([Primitive.segment((-1, 0), (1, 0))], g)
+        n = install_counters(monkeypatch)
+        built, build = [], arakelian.build_exhaustion
+        monkeypatch.setattr(arakelian, "build_exhaustion",
+                            lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        for _ in range(2):
+            verdict = arakelian.check_arakelian(F, make(g), 3)
+            assert verdict.status == arakelian.VERIFIED_UP_TO
+        assert n["regions"] == regions
+        assert len({id(e) for e in built}) == exhaustions
+
+    @pytest.mark.parametrize("make, labelings", [
+        (plane_region, 7), (_fresh_plane, 9)], ids=["shared", "fresh"])
+    def test_check_build_refute(self, monkeypatch, make, labelings):
+        # the check labels region - F, region - (F | K_1) and
+        # region - (F | K_2); on the shared region escape routing reads the
+        # last two back, so build_v labels only the complement of V
+        g = make_grid(-2, -2, 2, 2, 1 / 16)
+        F = rasterize_closed([Primitive.segment((-1, 0), (1, 0))], g)
+        obstacles = rasterize_closed([Primitive.point((0, 1)),
+                                      Primitive.point((0, -1))], g)
+        ring = rasterize_closed([Primitive.polyline(
+            [(-1.5, -1.5), (1.5, -1.5), (1.5, 1.5), (-1.5, 1.5), (-1.5, -1.5)])], g)
+        n = install_counters(monkeypatch)
+        assert arakelian.check_arakelian(F, make(g), 3).status == \
+            arakelian.VERIFIED_UP_TO
+        region = make(g)
+        assert builder.build_v(F, region.omega - obstacles, region).certificate.ok()
+        region = make(g)
+        wit = builder.refute_witness(ring, region, grid.CellSet.empty(g))
+        assert builder.refutation_blocks_build(ring, wit.u, region)
+        assert n["labelings"] == labelings
+
+
 class TestBoundaryDistancePerRegion:
     """``RegionModel.boundary_distance`` is built only where a distance is
     read (disk radii, a hole union's ``min_bd_dist``), at most once per
