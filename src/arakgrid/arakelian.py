@@ -93,15 +93,6 @@ class Exhaustion:
             raise ArakGridError("exhaustion does not cover the region")
 
 
-def _rows_are_runs(bits: np.ndarray) -> bool:
-    """Is every non-empty row one run of cells?  Then no region cell outside
-    is a hole: it walks along its row, away from the run, to the window edge
-    or to a non-region cell."""
-    n = np.count_nonzero(bits, axis=1)
-    first, end = bits.argmax(axis=1), bits.shape[1] - bits[:, ::-1].argmax(axis=1)
-    return not (n != end - first)[n > 0].any()
-
-
 def level_thresholds(delta: float, nlevels: int | None) -> list[float]:
     """The exhaustion's boundary margins ``delta * 2**(nlevels - k)`` for
     k = 1 ... nlevels; PreconditionError when nlevels < 1 or the largest
@@ -119,15 +110,25 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
                      like: Exhaustion | None = None) -> Exhaustion:
     """The region's exhaustion: nested compact levels.
 
-    Level k keeps the cells at least ``r_k = delta * 2**(nlevels-k)`` from
-    the region's complement, read off the exact mask ``region.interior(r_k)``
-    rather than a distance field, and, on regions that run off the window,
-    within ``R_k = k / nlevels * half-diagonal`` of the window center.
-    Levels are then hole-filled and dilated into their successors so the
-    nesting invariants hold exactly; only a level with two runs in a row (a
-    punctured region's, say) is labeled for its holes.  Radius caps are
-    skipped for regions fully visible in the window, where the boundary
-    margin alone already makes every level compact.
+    Level k is the exact mask ``A_k = region.interior(r_k)``, the cells at
+    least ``r_k = delta * 2**(nlevels-k)`` from the region's complement,
+    capped on regions that run off the window to the cells within
+    ``R_k = max(k / nlevels * half-diagonal, k * 1.5 * delta)`` of the
+    window center.  Regions fully visible in the window take no cap: the
+    boundary margin alone makes every level compact.  No level needs repair:
+
+    * No holes.  A cell of region - A_k walks to the complement inside the
+      digital disk of squared offsets below the threshold (each step lowers
+      |a| or |b|), or straight to an undeclared edge, or outward past the
+      cap to the window border, all within region - A_k; so its component
+      reaches alpha or is window-ambiguous, never enclosed.
+    * Nesting.  Boundary distance is 1-Lipschitz and r_(k-1) = 2 r_k, so
+      the 8-neighborhood of A_(k-1) lies in A_k.  The finest level is the
+      case where every region cell is at least delta from the complement.
+      The floored cap grows by 1.5 delta or more per level, more than a
+      diagonal step (sqrt(2) delta), so no rounded radius decides it.
+
+    ``Exhaustion.validate`` re-checks both.
 
     ``like`` takes another exhaustion's nlevels, r, R, center and cap
     instead, so the same compact levels are observed on another window.
@@ -145,7 +146,7 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
         r_values = level_thresholds(grid.delta, nlevels)
         capped = bool(region.alpha_border.any())
         center = grid.window_center
-        R_values = [k / nlevels * grid.half_diagonal
+        R_values = [max(k / nlevels * grid.half_diagonal, k * 1.5 * grid.delta)
                     for k in range(1, nlevels + 1)] if capped else None
     key = (nlevels, tuple(r_values), R_values and tuple(R_values), tuple(center), capped)
     if key in region._exhaustions:
@@ -157,24 +158,16 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
             np.hypot(xs - center[0], (ys - center[1])[:, None])
 
     levels, ids = [], []
-    prev = None
     for k in range(1, nlevels + 1):
         bits = region.interior(r_values[k - 1])
         if capped:
             bits &= rad <= R_values[k - 1]
-        if prev is not None:
-            grown = dilate(prev, 8) & region.omega.bits
-            bits = bits | grown
-        # fill the holes the row scan cannot rule out; ambiguous ones stay out
-        if not _rows_are_runs(bits):
-            bits = bits | holes(CellSet(grid, bits), region).union.bits
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue
         bits.flags.writeable = False
         levels.append(CellSet(grid, bits))
         ids.append(k)
-        prev = bits
     if not levels:
         raise ArakGridError("no nonempty exhaustion level; region too thin")
 

@@ -82,13 +82,6 @@ def naive_holes(omega: np.ndarray, f_bits: np.ndarray,
     return out
 
 
-def naive_fill(omega: np.ndarray, a_bits: np.ndarray,
-               alpha_border: np.ndarray) -> np.ndarray:
-    """A with its holes filled: A plus every conclusively trapped component
-    of omega minus A; window-ambiguous components stay out."""
-    return a_bits | naive_holes(omega, a_bits, alpha_border)
-
-
 def naive_alpha_neighborhood(omega: np.ndarray, f_bits: np.ndarray,
                              k_bits: np.ndarray, alpha_border: np.ndarray):
     """The alpha neighborhood by three labelings: the holes of F | K, the

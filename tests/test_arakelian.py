@@ -12,12 +12,11 @@ from arakgrid import (ArakGridError, CellSet, PreconditionError, Primitive,
                       hole_union_extent, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed)
 from arakgrid.arakelian import (EVIDENCE_DIVERGENT, INCONCLUSIVE, REFUTED,
-                                VERIFIED_UP_TO, _rows_are_runs)
+                                VERIFIED_UP_TO)
 from arakgrid.scene import parse_scene
 from arakgrid.topology import custom_region
 
-from oracles import (naive_alpha_neighborhood, naive_dilate, naive_fill,
-                     naive_holes)
+from oracles import naive_alpha_neighborhood, naive_dilate, naive_holes
 
 rng = np.random.default_rng(424242)
 
@@ -31,8 +30,8 @@ def _staircase_scene(ymax=8):
 def _exhaustion_regions(draw):
     """Custom regions on a 16 x 16 window of unit cells, with random declared
     edges and exits on the window border: the whole window, a rectangle, a
-    disk, a punctured disk (whose levels have two runs in a row, so the
-    labeling fill runs) or random cells."""
+    disk, a punctured disk (whose levels have two runs in a row) or random
+    cells."""
     g = make_grid(0, 0, 16, 16, 1)
     X, Y = g.center_mesh()
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -90,11 +89,17 @@ class TestBuildExhaustion:
         assert (exh.levels[1] & slit).is_empty()
 
     def test_invariants_on_randomized_scenes(self):
-        # interior nesting and hole-freeness over many random regions
+        # interior nesting and hole-freeness over many random regions, and
+        # over plane windows of an odd number of cells a side with up to 16
+        # levels.  There the window centre is a cell centre, so diagonal
+        # cells lie whole diagonal steps out and would tie with a cap grown
+        # by exactly sqrt(2) delta a level; past half_diagonal / nlevels =
+        # 1.5 delta the cap's floor sets R_k
         local = np.random.default_rng(99)
         n_scenes = 1000
         for t in range(n_scenes):
-            kind = t % 4
+            kind = t % 5
+            levels = (1, 4)
             g = make_grid(0, 0, 3, 3, 1 / 16)
             if kind == 0:
                 region = plane_region(g)
@@ -106,7 +111,7 @@ class TestBuildExhaustion:
                 x1, y1 = local.uniform(0.1, 0.8, size=2)
                 region = open_rect_region(g, x1, y1, x1 + local.uniform(1.2, 2.0),
                                           y1 + local.uniform(1.2, 2.0))
-            else:
+            elif kind == 3:
                 from arakgrid import rasterize_open_disk
                 disk = rasterize_open_disk(g, 1.5, 1.5, 1.1)
                 ang = local.uniform(0, 2 * math.pi)
@@ -115,7 +120,11 @@ class TestBuildExhaustion:
                                        (1.5 + 1.2 * math.cos(ang),
                                         1.5 + 1.2 * math.sin(ang)))], g)
                 region = custom_region(g, disk - slit, simply_connected=True)
-            exh = build_exhaustion(region, int(local.integers(1, 4)))
+            else:
+                side = 0.1 * int(local.choice([5, 9, 13, 17]))
+                region = plane_region(make_grid(0, 0, side, side, 0.1))
+                levels = (4, 17)
+            exh = build_exhaustion(region, int(local.integers(*levels)))
             exh.validate(region)
 
     def test_rejects_zero_levels(self):
@@ -136,12 +145,13 @@ class TestBuildExhaustion:
             (exh.r_values, exh.R_values, exh.center, exh.capped)
 
     @settings(max_examples=150, deadline=None)
-    @given(_exhaustion_regions(), st.integers(1, 3))
-    def test_fill_matches_naive_fill(self, region, nlevels):
-        # rebuild each level before its fill from the exhaustion's own
-        # thresholds; the level must be that set's naive fill, and a level
-        # whose rows are each one run (the scan that skips the labeling)
-        # must have no naive hole
+    @given(_exhaustion_regions(), st.integers(1, 12))
+    def test_levels_are_capped_interior_masks(self, region, nlevels):
+        # each kept level is A_k, the cells at least r_k from the complement
+        # and, when capped, within R_k of the center; A_k has no naive hole
+        # and holds the 8-neighborhood of A_(k-1).  Up to 7 levels the cap
+        # grows by half_diagonal / nlevels > 1.5 cells a level; from 8 on
+        # its floor sets it
         omega, alpha = region.omega.bits, region.alpha_border
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -157,34 +167,11 @@ class TestBuildExhaustion:
             a = omega & (region.boundary_distance() >= exh.r_values[k - 1])
             if exh.capped:
                 a &= rad <= exh.R_values[k - 1]
-            a |= naive_dilate(prev, 8) & omega
-            if _rows_are_runs(a):
-                assert not naive_holes(omega, a, alpha).any()
-            want = naive_fill(omega, a, alpha)
             got = kept[k].bits if k in kept else np.zeros_like(omega)
-            assert np.array_equal(got, want)
-            prev = got
-
-    @settings(max_examples=150, deadline=None)
-    @given(_exhaustion_regions(), st.data())
-    def test_row_scan_rules_out_holes(self, region, data):
-        # one run per row, then a few cells flipped, which can split a run
-        # around a hole: the scan must agree with a row-by-row count, and a
-        # set it passes must have no naive hole
-        omega = region.omega.bits
-        a = np.zeros_like(omega)
-        cols, cells = st.integers(0, 16), st.tuples(*[st.integers(0, 15)] * 2)
-        for j in range(16):
-            i0, i1 = sorted(data.draw(st.tuples(cols, cols)))
-            a[j, i0:i1] = True
-        for j, i in data.draw(st.lists(cells, max_size=3)):
-            a[j, i] = not a[j, i]
-        a &= omega
-        runs = [np.flatnonzero(row) for row in a]
-        assert _rows_are_runs(a) == all(c[-1] - c[0] + 1 == len(c)
-                                        for c in runs if len(c))
-        if _rows_are_runs(a):
-            assert not naive_holes(omega, a, region.alpha_border).any()
+            assert np.array_equal(got, a)
+            assert not naive_holes(omega, a, alpha).any()
+            assert not (naive_dilate(prev, 8) & ~a).any()
+            prev = a
 
 
 class TestHoleUnionExtent:

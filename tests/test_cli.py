@@ -405,6 +405,16 @@ class TestHugeAndUnreadableInput:
         assert code == 2 and report["status"] == "INCONCLUSIVE"
         assert "Traceback" not in err
 
+    def test_level_cap_floor_on_a_small_plane_window(self, tmp_path):
+        # 5 x 5 cells: half_diagonal / 3 is less than a diagonal step, so the
+        # cap's 1.5 delta floor sets R_k; the point verifies on all 3 levels
+        path = tmp_path / "small.scene"
+        path.write_text("grid 0 0 1.25 1.25 0.25\nomega plane\n"
+                        "set F point 0.6 0.6\n")
+        code, out, err = run(["check", str(path)])
+        assert code == 0 and out.startswith("status: VERIFIED_UP_TO level=3")
+        assert "Traceback" not in err
+
     def test_level_limit_follows_the_threshold_arithmetic(self):
         from arakgrid import (PreconditionError, build_exhaustion, make_grid,
                               plane_region)

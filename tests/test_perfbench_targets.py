@@ -58,7 +58,7 @@ def test_tiny_batch_pass_labelings(tmp_path, monkeypatch):
     # the timed steps of one op of each batch kind, each op checked after
     # its steps: check 3 and build_v 1, holes 1 (the refute that follows
     # reads it back), the union's 8 distinct domains and the lift's 1.  A
-    # lost shortcut (a fill the row scan should skip, an empty domain
+    # lost shortcut (a labeled exhaustion level, an empty domain
     # labeled, a hole set not shared) raises the count
     from arakgrid import topology
     wl = _load("workloads.py")

@@ -78,8 +78,8 @@ def count_work(monkeypatch, argv) -> tuple[int, Counter]:
 
 class TestLabelingsPerCommand:
     def test_single_window_check(self, monkeypatch):
-        # region - F, region - (F | K_1) and region - (F | K_2); the row scan
-        # clears every exhaustion level, K_3 is the whole window, so
+        # region - F, region - (F | K_1) and region - (F | K_2); exhaustion
+        # levels take no labeling, K_3 is the whole window, so
         # region - (F | K_3) is empty, and the alpha neighborhood reads its
         # two hole sets back from the region
         code, n = count_work(monkeypatch, ["check", scene("segment.scene")])
@@ -87,18 +87,18 @@ class TestLabelingsPerCommand:
         assert n["labelings"] == 3
         assert n["exhaustions"] == 1
 
-    def test_plane_exhaustion_labels_nothing(self, monkeypatch):
-        # every level of a plane window is one run per row
+    @pytest.mark.parametrize("make", [
+        plane_region,
+        lambda g: open_disk_region(g, 0, 0, 1),
+        lambda g: open_disk_region(g, 0, 0, 1, punctured=True),
+    ], ids=["plane", "disk", "punctured-disk"])
+    def test_exhaustion_labels_nothing(self, monkeypatch, make):
+        # every level is its interior mask, hole-free by construction: a
+        # punctured region's levels, with two runs in a row, take none either
+        region = make(make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32))
         n = install_counters(monkeypatch)
-        arakelian.build_exhaustion(plane_region(make_grid(-2, -2, 2, 2, 1 / 16)), 3)
+        arakelian.build_exhaustion(region, 3)
         assert n["labelings"] == 0
-
-    def test_punctured_exhaustion_falls_back(self, monkeypatch):
-        # the puncture splits a row of every level: the fill labels it
-        g = make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32)
-        n = install_counters(monkeypatch)
-        arakelian.build_exhaustion(open_disk_region(g, 0, 0, 1, punctured=True), 3)
-        assert n["labelings"] >= 1
 
     def test_refuted_check_builds_no_exhaustion(self, monkeypatch):
         # region - F has a hole: the verdict is decided before any level
@@ -115,7 +115,7 @@ class TestLabelingsPerCommand:
 
     def test_refute(self, monkeypatch):
         # region - F; the build that the witness blocks reads it back, and
-        # the row scan clears every exhaustion level
+        # exhaustion levels take no labeling
         code, n = count_work(monkeypatch, ["refute", scene("nested_rings.scene")])
         assert code == 1
         assert n["labelings"] == 1
@@ -144,15 +144,15 @@ class TestLabelingsPerCommand:
         # escape routing's region - (F | K_1) and region - (F | K_2) (no
         # disk routes in region - F, and region - (F | K_3) is empty) and
         # the complement of V, whose hole set the sphere test on the plane
-        # reads back; the row scan clears every exhaustion level
+        # reads back; exhaustion levels take no labeling
         code, n = count_work(monkeypatch, ["build-v", scene("segment.scene")])
         assert code == 0
         assert n["labelings"] == 3
 
     def test_loglift(self, monkeypatch):
         # the unwrap's labeling of V; V is the whole region, so the
-        # certificate's region - V is empty and takes none, and the row scan
-        # clears every exhaustion level
+        # certificate's region - V is empty and takes none, and exhaustion
+        # levels take no labeling
         code, n = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0
         assert n["labelings"] == 1
@@ -301,8 +301,8 @@ class TestOneExhaustionPerRegion:
         verdict = arakelian.check_arakelian(
             F, region, arakelian.build_exhaustion(region, 3))
         assert verdict.status == "VERIFIED_UP_TO"
-        # region - F, region - (F | K_1) and region - (F | K_2); the row scan
-        # clears every exhaustion level and region - (F | K_3) is empty
+        # region - F, region - (F | K_1) and region - (F | K_2); exhaustion
+        # levels take no labeling and region - (F | K_3) is empty
         assert n["labelings"] == 3
         result = builder.build_v(F, region.omega - obstacles, region)
         assert result.certificate.ok() and len(result.cover.disks) == 2
