@@ -16,9 +16,9 @@ import numpy as np
 from .arakelian import Exhaustion, build_exhaustion, holes
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
-from .grid import CellSet, Primitive, distance_field, rasterize_closed
+from .grid import CellSet, disk_cells, distance_field
 from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, ComplementReport,
-                       RegionModel, compactified_complement_connected,
+                       RegionModel, compactified_complement_connected, dilate,
                        sphere_complement_connected)
 
 # routing preference: east, north, west, south
@@ -145,7 +145,10 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     annuli partition the region, which holds every obstacle, so the cover
     is complete when the loop ends.
     Each centre's dist(x, F) is read off F's cells alone, as sqrt of the least
-    integer squared offset times delta: bit-equal to ``distance_field(F)``
+    integer squared offset times delta, bit-equal to ``distance_field(F)``;
+    its boundary distance is read below the other two radius bounds alone,
+    near the centre (``boundary_distance_at``).  Each disk is drawn into its
+    cell box alone, and the scan resumes at its centre, which it covers
     (twin: ``oracles.disk_cover_reference``).
     """
     grid = region.grid
@@ -155,31 +158,30 @@ def disk_cover(F: CellSet, U: CellSet, region: RegionModel) -> DiskCover:
     if obstacles.is_empty():
         return DiskCover([], CellSet.empty(grid))
 
-    fj, fi = (a.astype(np.int64) for a in np.nonzero(F.bits))
-    d_bd = region.boundary_distance()
+    fj, fi = np.divmod(np.flatnonzero(F.bits), grid.ncols)    # 2-D nonzero is slower
 
-    annuli = []
-    prev = None
+    annuli, prev = [], None
     for K in build_exhaustion(region, 3).levels:
-        annuli.append(K.bits if prev is None else (K.bits & ~prev))
+        annuli.append(K.bits if prev is None else K.bits & ~prev)
         prev = K.bits
-    residue = region.omega.bits & ~prev
-    if residue.any():
-        annuli.append(residue)
+    annuli.append(region.omega.bits & ~prev)           # the residue, maybe empty
 
     covered = np.zeros_like(obstacles.bits)
     disks: list[Disk] = []
     for a_idx, ann in enumerate(annuli, start=1):
         todo = obstacles.bits & ann & ~covered
-        while todo.any():
-            j, i = divmod(int(todo.argmax()), grid.ncols)
+        flat, at = todo.ravel(), 0                    # a view: the box writes show
+        while flat[at := at + int(flat[at:].argmax())]:
+            j, i = divmod(at, grid.ncols)
             d2 = ((fi - i) ** 2 + (fj - j) ** 2).min() if fi.size else math.inf
-            r = min(math.sqrt(d2) * grid.delta / 2.0, float(d_bd[j, i]), 1.0)
+            r = region.boundary_distance_at(
+                i, j, min(math.sqrt(d2) * grid.delta / 2.0, 1.0))
             cxy = grid.cell_center(i, j)
-            raster = rasterize_closed([Primitive.disk(cxy, r)], grid)
-            covered |= raster.bits & region.omega.bits & ~F.bits
+            (i0, i1, j0, j1), hit = disk_cells(grid, cxy, r)
+            hit &= region.omega.bits[j0:j1, i0:i1] & ~F.bits[j0:j1, i0:i1]
+            covered[j0:j1, i0:i1] |= hit
+            todo[j0:j1, i0:i1] &= ~hit
             disks.append(Disk((i, j), cxy, r, a_idx))
-            todo = obstacles.bits & ann & ~covered
     return DiskCover(disks, CellSet(grid, covered))
 
 
@@ -187,28 +189,34 @@ class _Wave:
     """Escape routing's 4-connected BFS distances to the targets in the domain,
     grown only as deep as asked (twin: ``oracles.bfs_distances``).  Distances
     need no queue order, so each layer steps one direction at a time and
-    claims its cells before the next: no sort."""
+    claims its cells before the next: no sort.  Every target reads 0 from the
+    start, but only the rim (targets beside a free non-target) seeds the
+    first layer: a shortest path leaves the targets through it."""
 
     def __init__(self, domain: np.ndarray, targets: np.ndarray):
-        self.width = domain.shape[1] + 2
-        self.free = np.pad(domain, 1).ravel()             # in domain, unvisited
-        self.frontier = np.flatnonzero(np.pad(targets & domain, 1))
-        self.free[self.frontier] = False
-        self.dist = np.full(self.free.size, -1, dtype=np.int32)
-        self.depth = 0                                    # layers run so far
+        nrows, ncols = domain.shape
+        self.width = ncols + 2
+        seeds = np.zeros((nrows + 2, self.width), dtype=bool)
+        seeds[1:-1, 1:-1] = targets & domain
+        free = np.zeros_like(seeds)                       # in domain, unvisited
+        free[1:-1, 1:-1] = domain & ~targets
+        self.frontier = np.flatnonzero(seeds & dilate(free, 4))
+        self.free = free.ravel()
+        self.dist = np.subtract(seeds.ravel(), 1, dtype=np.int32)
+        self.depth = 0                                    # the frontier's distance
 
     def reach(self, cell: tuple[int, int]) -> np.ndarray:
         """The distances, or -1, with every cell as near as ``cell`` set: whole
         layers run until ``cell`` has its distance or the frontier is empty."""
         at = (cell[1] + 1) * self.width + cell[0] + 1
         while self.frontier.size and self.dist[at] < 0:
-            self.dist[self.frontier] = self.depth
             layer = []
             for di, dj in _STEPS:
                 nbrs = self.frontier + (di + dj * self.width)
                 layer.append(nbrs[self.free[nbrs]])
                 self.free[layer[-1]] = False
             self.frontier, self.depth = np.concatenate(layer), self.depth + 1
+            self.dist[self.frontier] = self.depth
         return self.dist.reshape(-1, self.width)[1:-1, 1:-1]
 
 

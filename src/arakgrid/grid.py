@@ -352,16 +352,19 @@ def _far(grid, center, i0, i1, j0, j1):
     return np.hypot(np.maximum(cx - x0, x1 - cx), np.maximum(cy - y0, y1 - cy))
 
 
-def _circle_into(grid, center, r, out, filled):
+def disk_cells(grid, center, r):
+    """The cells [i0, i1) x [j0, j1) of the closed disk's box in the window
+    (none when it misses), and which of them ``rasterize_closed`` draws."""
     eps = INCLUSION_SLACK
     cx, cy = center
-    i0, i1, j0, j1 = _cell_ranges(grid, cx - r - eps, cy - r - eps,
-                                  cx + r + eps, cy + r + eps)
-    if i0 >= i1 or j0 >= j1:
-        return
-    hit = _near(grid, center, i0, i1, j0, j1) <= r + eps
+    box = _cell_ranges(grid, cx - r - eps, cy - r - eps, cx + r + eps, cy + r + eps)
+    return box, _near(grid, center, *box) <= r + eps
+
+
+def _circle_into(grid, center, r, out, filled):
+    (i0, i1, j0, j1), hit = disk_cells(grid, center, r)
     if not filled:              # the circle itself: a box inside it misses
-        hit &= _far(grid, center, i0, i1, j0, j1) >= r - eps
+        hit &= _far(grid, center, i0, i1, j0, j1) >= r - INCLUSION_SLACK
     out[j0:j1, i0:i1] |= hit
 
 

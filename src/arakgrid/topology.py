@@ -108,8 +108,8 @@ class RegionModel:
         """Per-cell distance to the region's complement, as the window sees
         it: visible complement cells (center to center) and undeclared window
         edges both count.  Exact, built on the first call and read-only.
-        Exhaustion levels read ``interior`` masks instead, so only a caller
-        that reads a distance (disk radii, a hole union's ``min_bd_dist``)
+        Exhaustion levels read ``interior`` masks and disk radii read
+        ``boundary_distance_at``, so only a hole union's ``min_bd_dist``
         builds it.  A region that nothing visible bounds (no complement cell,
         every edge declared) reads a zero-byte ``inf``: no transform runs."""
         if self._boundary_distance is None:
@@ -123,6 +123,25 @@ class RegionModel:
                 dist = np.broadcast_to(np.inf, self.omega.bits.shape)
             self._boundary_distance = dist
         return self._boundary_distance
+
+    def boundary_distance_at(self, i: int, j: int, cap: float) -> float:
+        """``min(boundary_distance()[j, i], cap)`` for a finite cap, bit-equal,
+        without the field.  With d the cap or a nearer undeclared edge, a
+        complement cell more than ceil(d / delta) + 1 cells off along a row or
+        column lies past d, so only the box within that is scanned (none when
+        the region fills the window): the scan grows with d, not the window."""
+        shape = self.omega.bits.shape
+        d = min([cap] + [float(np.broadcast_to(g, shape)[j, i])
+                         for g in self._frame_gaps()])
+        if not self.omega.bits.all():
+            m = math.ceil(d / self.grid.delta) + 1
+            j0, i0 = max(j - m, 0), max(i - m, 0)
+            box = ~self.omega.bits[j0:j + m + 1, i0:i + m + 1]
+            bj, bi = np.divmod(np.flatnonzero(box), box.shape[1])
+            if bj.size:
+                d2 = int(((bj + (j0 - j)) ** 2 + (bi + (i0 - i)) ** 2).min())
+                d = min(d, math.sqrt(d2) * self.grid.delta)
+        return d
 
     def interior(self, r: float) -> np.ndarray:
         """The region cells at boundary distance at least r, as a new array:

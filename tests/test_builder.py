@@ -109,12 +109,14 @@ def _assert_cover_matches_reference(F, obstacles, region):
     assert all(d.center_xy == region.grid.cell_center(*d.center)
                for d in cover.disks)
     assert np.array_equal(cover.covered.bits, covered)
+    return cover
 
 
 class TestDiskCoverMatchesReference:
-    """``disk_cover`` reads dist(x, F) at the chosen centres only; the
-    reference reads a full pairwise-minimum field.  Same centres, radii to
-    the bit, annuli and covered cells."""
+    """``disk_cover`` reads dist(x, F) at the chosen centres only and the
+    boundary distance from the cells near them; the reference reads a full
+    pairwise-minimum field and the boundary-distance field.  Same centres,
+    radii to the bit, annuli and covered cells."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["plane", "disk", "rect"]), st.integers(14, 24),
@@ -160,6 +162,31 @@ class TestDiskCoverMatchesReference:
         obstacles = CellSet.from_cells(g, o_cells) & region.omega
         assert not obstacles.is_empty() and (F & obstacles).is_empty()
         _assert_cover_matches_reference(F, obstacles, region)
+
+    @pytest.mark.parametrize("kind", ["disk", "rect"])
+    def test_window_wider_than_the_cap(self, kind):
+        # a 4 x 4 window: complement cells lie past the radius cap of 1 from
+        # the capped centre (20, 25), outside the cells each radius reads
+        region = _cover_region(kind, 40, 2, 0.1)
+        g = region.grid
+        F = CellSet.from_cells(g, [(20, 3)])
+        obstacles = CellSet.from_cells(g, [(20, 25), (5, 20), (34, 12), (20, 36)])
+        assert F.issubset(region.omega) and obstacles.issubset(region.omega)
+        cover = _assert_cover_matches_reference(F, obstacles, region)
+        assert [d.radius for d in cover.disks if d.center == (20, 25)] == [1.0]
+
+    @pytest.mark.parametrize("kind", ["plane", "disk", "rect"])
+    def test_obstacles_fill_half_the_region(self, kind):
+        # every region cell right of the middle column is an obstacle: many
+        # disks per annulus, each clearing its own box
+        region = _cover_region(kind, 24, 1)
+        g = region.grid
+        F = CellSet.from_cells(g, [(3, 12), (4, 12)])
+        o_bits = region.omega.bits.copy()
+        o_bits[:, :12] = False
+        cover = _assert_cover_matches_reference(F, CellSet(g, o_bits), region)
+        per_annulus = [d.annulus for d in cover.disks]
+        assert max(per_annulus.count(a) for a in set(per_annulus)) >= 3
 
 
 class TestEscapeCurves:
@@ -271,6 +298,31 @@ def _around_centre(k):
     return t
 
 
+def _all_but_block(k):
+    """Targets on a 9x9 grid everywhere but a k x k block at (3, 2)."""
+    t = np.ones((9, 9), dtype=bool)
+    t[2:2 + k, 3:3 + k] = False
+    return t
+
+
+def _naive_rim(domain, targets):
+    """Targets in the domain with a 4-neighbour in the domain that is no
+    target, cell by cell."""
+    nrows, ncols = domain.shape
+    return {(i, j) for j, i in np.ndindex(domain.shape)
+            if domain[j, i] and targets[j, i] and any(
+                0 <= i + di < ncols and 0 <= j + dj < nrows and
+                domain[j + dj, i + di] and not targets[j + dj, i + di]
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)))}
+
+
+def _first_frontier(domain, targets):
+    """A new wave's frontier as (i, j) cells of the unpadded grid."""
+    wave = _Wave(domain, targets)
+    return {(int(p % wave.width) - 1, int(p // wave.width) - 1)
+            for p in wave.frontier}
+
+
 def _exhausted(domain, targets):
     """The wave's field once every cell of the grid has been asked for."""
     wave = _Wave(domain, targets)
@@ -290,6 +342,7 @@ class TestWaveDistances:
         domain = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
         targets = np.array(data.draw(masks), dtype=bool).reshape(nrows, ncols)
         full = bfs_distances(domain, targets)
+        assert _first_frontier(domain, targets) == _naive_rim(domain, targets)
         cells = st.tuples(st.integers(0, ncols - 1), st.integers(0, nrows - 1))
         wave, deepest = _Wave(domain, targets), -1
         for i, j in data.draw(st.lists(cells, max_size=8)):
@@ -317,14 +370,42 @@ class TestWaveDistances:
         (np.ones((7, 7), dtype=bool), _around_centre(3)),
         (np.ones((7, 7), dtype=bool), _around_centre(2)),
         (_serpentine(9, 11), ~_serpentine(9, 11)),
+        (np.ones((9, 9), dtype=bool), _all_but_block(1)),
+        (np.ones((9, 9), dtype=bool), _all_but_block(3)),
+        (_checkerboard(9, 9), _all_but_block(3)),
     ], ids=["no-targets", "targets-outside", "checkerboard-outside",
             "row", "column", "single-cell", "free", "checkerboard",
             "checkerboard-all", "serpentine", "reached-from-4",
-            "reached-from-3", "reached-from-2", "targets-beside-serpentine"])
+            "reached-from-3", "reached-from-2", "targets-beside-serpentine",
+            "all-but-1x1", "all-but-3x3", "checkerboard-all-but-3x3"])
     def test_edge_cases_match_oracle(self, domain, targets):
+        assert _first_frontier(domain, targets) == _naive_rim(domain, targets)
         got = _exhausted(domain, targets)
         assert got.dtype == np.int32
         assert np.array_equal(got, bfs_distances(domain, targets))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_but_a_block_seeds_its_rim(self, k):
+        # only the 4k targets beside the block seed the first layer
+        wave = _Wave(np.ones((9, 9), dtype=bool), _all_but_block(k))
+        assert wave.frontier.size == 4 * k
+        got = wave.reach((3 + k // 2, 2 + k // 2))
+        assert got[2 + k // 2, 3 + k // 2] == wave.depth == (k + 1) // 2
+        assert (got[_all_but_block(k)] == 0).all()
+
+    def test_targets_only_off_domain_run_nothing(self):
+        domain = np.zeros((5, 7), dtype=bool)
+        domain[:, :3] = True
+        wave = _Wave(domain, ~domain)
+        assert wave.frontier.size == 0
+        assert (wave.reach((1, 2)) == -1).all() and wave.depth == 0
+
+    def test_asked_target_reads_zero_without_a_layer(self):
+        targets = _around_centre(4)
+        wave = _Wave(np.ones((7, 7), dtype=bool), targets)
+        for j, i in np.argwhere(targets):
+            assert wave.reach((i, j))[j, i] == 0
+        assert wave.depth == 0 and wave.frontier.size == 4
 
     def test_free_grid_is_manhattan(self):
         got = _exhausted(np.ones((6, 8), dtype=bool), _corner(6, 8))

@@ -162,11 +162,12 @@ class TestLabelingsPerCommand:
 
 class TestEscapeLayers:
     """Each escape BFS runs only as deep as the deepest walk start it is
-    asked about; running every BFS dry would show as 57 and 176 layers."""
+    asked about, and its targets read 0 before any layer runs; running every
+    BFS dry would show as 57 and 176 layers."""
 
     @pytest.mark.parametrize("argv, layers", [
-        (["build-v", "segment.scene"], 34),
-        (["union", "union_segments.scene"], 166),
+        (["build-v", "segment.scene"], 32),
+        (["union", "union_segments.scene"], 160),
     ], ids=["build-v", "union"])
     def test_layers(self, monkeypatch, argv, layers):
         code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
@@ -362,12 +363,12 @@ class TestOnePlaneRegionPerGrid:
 
 
 class TestBoundaryDistancePerRegion:
-    """``RegionModel.boundary_distance`` is built only where a distance is
-    read (disk radii, a hole union's ``min_bd_dist``), at most once per
-    region.  Exhaustion levels read exact ``interior`` masks, and a region
-    that nothing visible bounds reads a zero-byte ``inf``: a field per
-    exhaustion shows as 3, 1, 1, 1 on the plane scenes, and as 1 on the
-    bounded check."""
+    """``RegionModel.boundary_distance`` is built only where a whole field is
+    read (a hole union's ``min_bd_dist``), at most once per region.
+    Exhaustion levels read exact ``interior`` masks, disk radii read
+    ``boundary_distance_at`` near each centre, and a region that nothing
+    visible bounds reads a zero-byte ``inf``: a field per exhaustion shows
+    as 3, 1, 1, 1 on the plane scenes, and as 1 on the bounded check."""
 
     @pytest.mark.parametrize("argv, code, fields", [
         (["check", "intro_staircase.scene", "--windows", "8,16,32"], 2, 0),
@@ -381,14 +382,15 @@ class TestBoundaryDistancePerRegion:
         assert got == code
         assert n["boundary_fields"] == fields
 
-    def test_disk_radii_read_the_field(self, monkeypatch, tmp_path):
-        # a bounded region with obstacles: the radii read the field, once
+    def test_disk_radii_build_no_field(self, monkeypatch, tmp_path):
+        # a bounded region with obstacles: the radii read the complement
+        # cells near each centre, so build-v runs no distance transform
         path = tmp_path / "s.scene"
         path.write_text(_DISK + _SEGMENT + "set obstacles point 0 0.25\n"
                         "set obstacles point 0.5 -0.5\n")
         code, n = count_work(monkeypatch, ["build-v", str(path)])
         assert code == 0
-        assert n["boundary_fields"] == 1
+        assert n["boundary_fields"] == n["edts"] == 0
 
     def test_field_is_read_only(self):
         region = open_disk_region(make_grid(-1, -1, 1, 1, 0.25), 0, 0, 0.9)
