@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArakGridError, PreconditionError
-from .grid import CellSet, GridSpec
+from .grid import CellSet, GridSpec, radial_field
 from .topology import HoleSet, RegionModel, dilate, holes
 
 
@@ -130,6 +130,11 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
 
     ``Exhaustion.validate`` re-checks both.
 
+    The cap's radii are ``hypot(dx, dy)`` from the centre, evaluated only in
+    the box of columns and rows with ``|dx|, |dy| <= R_nlevels``: a faithfully
+    rounded hypot is never below ``max(|dx|, |dy|)``, so no cell outside the
+    box is within any level's cap.
+
     ``like`` takes another exhaustion's nlevels, r, R, center and cap
     instead, so the same compact levels are observed on another window.
 
@@ -152,16 +157,21 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
     if key in region._exhaustions:
         return region._exhaustions[key]
 
-    if capped:                      # x - 0.0 == x: the origin's field is bit-equal
+    if capped:
         xs, ys = grid.center_axes()
-        rad = grid.center_abs() if center == (0.0, 0.0) else \
-            np.hypot(xs - center[0], (ys - center[1])[:, None])
+        dx, dy = xs - center[0], ys - center[1]
+        box = _within(dy, R_values[-1]), _within(dx, R_values[-1])
+        # x - 0.0 == x: the origin's field is bit-equal
+        rad = grid.center_abs()[box] if center == (0.0, 0.0) else \
+            radial_field(dx[box[1]], dy[box[0]])
 
     levels, ids = [], []
     for k in range(1, nlevels + 1):
         bits = region.interior(r_values[k - 1])
         if capped:
-            bits &= rad <= R_values[k - 1]
+            cap = np.zeros_like(bits)
+            cap[box] = bits[box] & (rad <= R_values[k - 1])
+            bits = cap
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue
@@ -179,6 +189,12 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
         levels, ids, list(r_values), list(R_values) if capped else None,
         tuple(center), capped, bounds)
     return exh
+
+
+def _within(offsets: np.ndarray, R: float) -> slice:
+    """The cells of a sorted centre-offset axis with ``|offset| <= R``."""
+    return slice(int(np.searchsorted(offsets, -R, "left")),
+                 int(np.searchsorted(offsets, R, "right")))
 
 
 def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:

@@ -79,11 +79,12 @@ class GridSpec:
             np.broadcast_to(ys[:, None], (self.nrows, self.ncols))
 
     def center_abs(self) -> np.ndarray:
-        """``|cell center|`` (distance from the origin) per cell.  Computed on
-        the first call and cached on this grid, so it lives as long as the
-        grid does; the array is read-only."""
+        """``|cell center|`` (distance from the origin) per cell, bit-equal to
+        ``np.hypot(*center_mesh())``.  Computed on the first call and cached
+        on this grid, so it lives as long as the grid does; the array is
+        read-only."""
         if "_center_abs" not in self.__dict__:
-            field = np.hypot(*self.center_mesh())
+            field = radial_field(*self.center_axes())
             field.flags.writeable = False
             object.__setattr__(self, "_center_abs", field)    # frozen dataclass
         return self.__dict__["_center_abs"]
@@ -101,6 +102,17 @@ class GridSpec:
 
     def key(self) -> tuple:
         return (self.xmin, self.ymin, self.xmax, self.ymax, self.delta)
+
+
+def radial_field(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``np.hypot(dx, dy[:, None])`` bit for bit, from one hypot per distinct
+    pair of absolute offsets, gathered.  C Annex F (F.10.4.3) makes
+    ``hypot(x, y)``, ``hypot(y, x)`` and ``hypot(x, -y)`` equivalent, so a
+    sign never changes a result."""
+    ax, ay = np.abs(dx), np.abs(dy)
+    ux, uy = np.unique(ax), np.unique(ay)
+    return np.hypot(ux, uy[:, None]).take(np.searchsorted(uy, ay), axis=0) \
+        .take(np.searchsorted(ux, ax), axis=1)
 
 
 def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,
@@ -304,36 +316,70 @@ def _box_arrays(grid, i0, i1, j0, j1):
 
 
 def _slab(lo, hi, o, d):
-    """Parameter interval of ``lo <= o + t*d <= hi`` per box side."""
-    if abs(d) < 1e-300:
-        inside = (lo <= o) & (o <= hi)
-        tmin = np.where(inside, -np.inf, np.inf)
-        tmax = np.where(inside, np.inf, -np.inf)
-    else:
-        a = (lo - o) / d
-        b = (hi - o) / d
-        tmin = np.minimum(a, b)
-        tmax = np.maximum(a, b)
-    return tmin, tmax
+    """Parameter intervals of ``lo <= o + t*d <= hi`` over equal-shaped float
+    arrays, as ordered (tmin, tmax); ``lo``, ``hi`` and ``d`` are
+    overwritten.  A direction below 1e-300 counts as 0: the interval is
+    (-inf, inf) inside the slab and (inf, inf) or (-inf, -inf) outside it.
+    Such a direction is divided as +0, so a side at distance 0 gives 0/0 =
+    NaN, which fmax / fmin turn into the infinity that keeps it inside; no
+    other quotient can be NaN (``lo - o`` is finite)."""
+    d[np.abs(d) < 1e-300] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo -= o
+        lo /= d
+        hi -= o
+        hi /= d
+    np.fmax(lo, -np.inf, out=lo)
+    np.fmin(hi, np.inf, out=hi)
+    return np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
 
 
-def _segment_into(grid, p1, p2, out):
-    eps = INCLUSION_SLACK
-    bx0 = min(p1[0], p2[0]) - eps
-    bx1 = max(p1[0], p2[0]) + eps
-    by0 = min(p1[1], p2[1]) - eps
-    by1 = max(p1[1], p2[1]) + eps
-    i0, i1, j0, j1 = _cell_ranges(grid, bx0, by0, bx1, by1)
-    if i0 >= i1 or j0 >= j1:
-        return
-    x0, x1, y0, y1 = _box_arrays(grid, i0, i1, j0, j1)
-    ox, oy = p1
-    dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-    txmin, txmax = _slab(x0 - eps, x1 + eps, ox, dx)
-    tymin, tymax = _slab(y0 - eps, y1 + eps, oy, dy)
-    te = np.maximum(np.maximum(txmin, tymin), 0.0)
-    tl = np.minimum(np.minimum(txmax, tymax), 1.0)
-    out[j0:j1, i0:i1] |= te <= tl
+# per [first, stop] row of a segment's box: slack, low clip, stop offset
+_BOX_SLACK = np.array([[-INCLUSION_SLACK], [INCLUSION_SLACK]])
+_BOX_CLIP = np.array([[0], [-1]])
+_BOX_STOP = np.array([[0], [1]])
+
+
+def _segments_into(grid, segments, out):
+    """Draw closed segments ``((x1, y1), (x2, y2))`` into ``out``.
+
+    Every column and row of every segment's cell box is one element of a
+    single slab pass.  ``_slab`` orders each interval, so an element's own
+    pairs are ``tmin <= 1`` and ``0 <= tmax``; one that fails them gets a
+    NaN ``tmin``, which fails both cross compares of its box.
+    """
+    eps, d = INCLUSION_SLACK, grid.delta
+    ends = np.array(segments, dtype=np.float64)         # [seg, end, axis]
+    corner = np.array([grid.xmin, grid.ymin])
+    # each box's first and stop cells [seg, first/stop, axis], clipped as
+    # _floor_clipped clips: in float, so an inf offset clips and a NaN reads
+    # the low clip
+    t = (np.sort(ends, axis=1) + _BOX_SLACK - corner) / d
+    last = np.array([[grid.ncols, grid.nrows], [grid.ncols - 1, grid.nrows - 1]])
+    box = np.floor(np.fmin(last, np.fmax(_BOX_CLIP, t))).astype(np.int64) + _BOX_STOP
+    start, stop = box[:, 0], box[:, 1]
+    if not (start < stop).all():        # drop the boxes the window misses
+        keep = (start < stop).all(axis=1)
+        ends, start, stop = ends[keep], start[keep], stop[keep]
+    # one element per column of each box, then one per row: box s owns
+    # [cuts[2s], cuts[2s + 1]) and [cuts[2s + 1], cuts[2s + 2])
+    counts = (stop - start).ravel()
+    cuts = np.cumsum(counts)
+    cell = np.repeat(start.ravel() - cuts + counts, counts)
+    cell += np.arange(cell.size)
+    lo = cell * d                       # in place from here: one buffer each
+    del cell
+    lo += np.repeat(np.tile(corner, len(ends)), counts)
+    hi = lo + d
+    hi += eps
+    lo -= eps
+    tmin, tmax = _slab(lo, hi, np.repeat(ends[:, 0], counts),
+                       np.repeat(ends[:, 1] - ends[:, 0], counts))
+    tmin[(tmin > 1.0) | (tmax < 0.0)] = np.nan
+    cuts = [0, *cuts.tolist()]
+    for s, ((i0, j0), (i1, j1)) in enumerate(zip(start.tolist(), stop.tolist())):
+        cols, rows = slice(cuts[2 * s], cuts[2 * s + 1]), slice(cuts[2 * s + 1], cuts[2 * s + 2])
+        out[j0:j1, i0:i1] |= (tmin[cols] <= tmax[rows, None]) & (tmin[rows, None] <= tmax[cols])
 
 
 def _near(grid, center, i0, i1, j0, j1):
@@ -391,12 +437,10 @@ def clip_ray(origin, direction, grid):
     # 1e-300 as 0, and a tiny direction would otherwise vanish whole
     scale = max(abs(direction[0]), abs(direction[1]))
     dx, dy = direction[0] / scale, direction[1] / scale
-    lo = np.array([grid.xmin]), np.array([grid.ymin])
-    hi = np.array([grid.xmax]), np.array([grid.ymax])
-    txmin, txmax = _slab(lo[0], hi[0], ox, dx)
-    tymin, tymax = _slab(lo[1], hi[1], oy, dy)
-    te = max(float(np.maximum(txmin, tymin)[0]), 0.0)
-    tl = float(np.minimum(txmax, tymax)[0])
+    tmin, tmax = _slab(np.array([grid.xmin, grid.ymin]), np.array([grid.xmax, grid.ymax]),
+                       np.array([ox, oy]), np.array([dx, dy]))
+    te = max(float(tmin.max()), 0.0)
+    tl = float(tmax.min())
     if tl < te - 1e-15 or not math.isfinite(tl):
         return None
     p1 = (ox + te * dx, oy + te * dy)
@@ -473,7 +517,8 @@ def bracket_parts(grid, k: int) -> list[Primitive]:
     ]
 
 
-def _expand(prim: Primitive, grid) -> list[Primitive]:
+def expand(prim: Primitive, grid) -> list[Primitive]:
+    """The primitive, or the parts a curve fixture expands to on the grid."""
     if prim.kind == "staircase":
         return staircase_parts(grid)
     if prim.kind == "bracket":
@@ -486,12 +531,22 @@ def _expand(prim: Primitive, grid) -> list[Primitive]:
 
 
 def rasterize_closed(primitives, grid: GridSpec) -> CellSet:
-    """Union raster of closed carriers; touch semantics with closed-set bias."""
+    """Union raster of closed carriers; touch semantics with closed-set bias.
+
+    Segments, polyline pieces and each ray's part in the window are drawn in
+    one vectorized pass (``_segments_into``).  A cell meets a segment when
+    ``max(txmin, tymin, 0) <= min(txmax, tymax, 1)`` over the slab intervals
+    of its slack-grown column and row.  A max is at most a min exactly when
+    each of the nine pairs compares so, and a NaN fails both forms; so each
+    box needs its columns' and rows' own tests and two cross compares,
+    ``txmin <= tymax`` and ``tymin <= txmax``, and no float box.
+    """
     out = np.zeros((grid.nrows, grid.ncols), dtype=bool)
+    segments = []
     for prim in primitives:
-        for p in _expand(prim, grid):
+        for p in expand(prim, grid):
             if p.kind == "segment":
-                _segment_into(grid, p.pts[0], p.pts[1], out)
+                segments.append(p.pts)
             elif p.kind == "circle":
                 _circle_into(grid, p.pts[0], p.r, out, filled=False)
             elif p.kind == "disk":
@@ -501,14 +556,16 @@ def rasterize_closed(primitives, grid: GridSpec) -> CellSet:
             elif p.kind == "point":
                 _rect_into(grid, p.pts[0], p.pts[0], out)
             elif p.kind == "polyline":
-                for a, b in zip(p.pts[:-1], p.pts[1:]):
-                    _segment_into(grid, a, b, out)
+                segments.extend(zip(p.pts[:-1], p.pts[1:]))
             elif p.kind == "ray":
                 clipped = clip_ray(p.pts[0], p.pts[1], grid)
                 if clipped is not None:
-                    _segment_into(grid, clipped[0], clipped[1], out)
+                    segments.append(clipped)
             else:
                 raise InputError(f"unknown primitive kind {p.kind!r}")
+    if segments:
+        with np.errstate(over="ignore"):    # huge coordinates reach inf, as floats do
+            _segments_into(grid, segments, out)
     return CellSet(grid, out)
 
 
@@ -516,7 +573,7 @@ def ray_exit_cells(primitives, grid: GridSpec) -> list[tuple[int, int]]:
     """The cell where each ray that meets the window leaves it, in order."""
     cells = []
     for prim in primitives:
-        for p in _expand(prim, grid):
+        for p in expand(prim, grid):
             clipped = clip_ray(*p.pts, grid) if p.kind == "ray" else None
             if clipped is not None:
                 cells.append(grid.point_cell(*clipped[1]))

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SceneParseError
-from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, make_grid,
-                   rasterize_closed, rasterize_open_disk, rasterize_open_rect,
-                   ray_exit_cells)
+from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, expand,
+                   make_grid, rasterize_closed, rasterize_open_disk,
+                   rasterize_open_rect, ray_exit_cells)
 from .topology import _EDGES, RegionModel, custom_region
 
 _CANON_EDGES = tuple(_EDGES)
@@ -101,13 +101,28 @@ class Scene:
     unbounded: tuple
     sets: dict[str, list[Primitive]] = field(default_factory=dict)
     fns: dict[str, FnSpec] = field(default_factory=dict)
+    _expanded: dict = field(default_factory=dict, init=False, repr=False)
+
+    def parts(self, name: str, grid: GridSpec | None = None) -> list[Primitive]:
+        """The set's primitives with its curve fixtures expanded on the grid.
+        Fixture parts depend only on the grid's columns (xmin, delta, ncols),
+        which every window of a ``--windows`` schedule shares, so each column
+        layout is expanded once per scene and set contents."""
+        g = grid or self.grid
+        if name not in self.sets:
+            raise InputError(f"scene has no set named {name!r}")
+        prims = tuple(self.sets[name])
+        key = (prims, g.xmin, g.delta, g.ncols)
+        if key not in self._expanded:
+            self._expanded[key] = [p for prim in prims for p in expand(prim, g)]
+        return self._expanded[key]
 
     def region(self, grid: GridSpec | None = None) -> RegionModel:
         g = grid or self.grid
         kind, *params = self.omega_decl
         extra = np.zeros((g.nrows, g.ncols), dtype=bool)
-        for prims in self.sets.values():
-            for i, j in ray_exit_cells(prims, g):
+        for name in self.sets:
+            for i, j in ray_exit_cells(self.parts(name, g), g):
                 extra[j, i] = True
         edges, simple = self.unbounded, True
         if kind == "plane":
@@ -126,9 +141,7 @@ class Scene:
 
     def raster(self, name: str, grid: GridSpec | None = None) -> CellSet:
         g = grid or self.grid
-        if name not in self.sets:
-            raise InputError(f"scene has no set named {name!r}")
-        return rasterize_closed(self.sets[name], g)
+        return rasterize_closed(self.parts(name, g), g)
 
     def obstacle_free_u(self, region: RegionModel) -> CellSet:
         """U = region minus the raster of the ``obstacles`` set, if any."""

@@ -272,6 +272,59 @@ def circle_raster_oracle(grid, cx: float, cy: float, r: float,
     return bits
 
 
+def _slab_reference(lo: float, hi: float, o: float, d: float):
+    """Parameter interval of ``lo <= o + t*d <= hi``; a direction below
+    1e-300 counts as 0."""
+    if abs(d) < 1e-300:
+        return (-math.inf, math.inf) if lo <= o <= hi else (math.inf, -math.inf)
+    a, b = (lo - o) / d, (hi - o) / d
+    return min(a, b), max(a, b)
+
+
+def _floor_clip_reference(t: float, lo: int, hi: int) -> int:
+    return int(math.floor(min(float(hi), max(float(lo), t))))
+
+
+def segment_raster_reference(grid, primitives) -> np.ndarray:
+    """Raster of segments, polylines and rays in Python floats, one cell at a
+    time: each cell of a segment's slack-grown bounding box is drawn when
+    ``max(txmin, tymin, 0) <= min(txmax, tymax, 1)`` over its slack-grown
+    box's x and y slabs.  A ray is first clipped to the window by the same
+    slab test with t >= 0 and no upper limit."""
+    eps, d = 1e-9, grid.delta
+    pieces = []
+    for p in primitives:
+        if p.kind == "segment":
+            pieces.append(p.pts)
+        elif p.kind == "polyline":
+            pieces.extend(zip(p.pts[:-1], p.pts[1:]))
+        elif p.kind == "ray":
+            (ox, oy), (dx, dy) = p.pts
+            scale = max(abs(dx), abs(dy))
+            dx, dy = dx / scale, dy / scale
+            txmin, txmax = _slab_reference(grid.xmin, grid.xmax, ox, dx)
+            tymin, tymax = _slab_reference(grid.ymin, grid.ymax, oy, dy)
+            te, tl = max(txmin, tymin, 0.0), min(txmax, tymax)
+            if not (tl < te - 1e-15 or not math.isfinite(tl)):
+                pieces.append(((ox + te * dx, oy + te * dy), (ox + tl * dx, oy + tl * dy)))
+        else:
+            raise ValueError(f"no reference raster for {p.kind!r}")
+    bits = np.zeros((grid.nrows, grid.ncols), dtype=bool)
+    for (x1, y1), (x2, y2) in pieces:
+        i0 = _floor_clip_reference((min(x1, x2) - eps - grid.xmin) / d, 0, grid.ncols)
+        i1 = _floor_clip_reference((max(x1, x2) + eps - grid.xmin) / d, -1, grid.ncols - 1) + 1
+        j0 = _floor_clip_reference((min(y1, y2) - eps - grid.ymin) / d, 0, grid.nrows)
+        j1 = _floor_clip_reference((max(y1, y2) + eps - grid.ymin) / d, -1, grid.nrows - 1) + 1
+        for j in range(j0, j1):
+            for i in range(i0, i1):
+                bx0, by0 = grid.xmin + i * d, grid.ymin + j * d
+                txmin, txmax = _slab_reference(bx0 - eps, bx0 + d + eps, x1, x2 - x1)
+                tymin, tymax = _slab_reference(by0 - eps, by0 + d + eps, y1, y2 - y1)
+                if max(txmin, tymin, 0.0) <= min(txmax, tymax, 1.0):
+                    bits[j, i] = True
+    return bits
+
+
 def bfs_distances(domain: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Queue-based multi-source 4-connected BFS distances to the target
     cells inside the domain; -1 where no path exists."""

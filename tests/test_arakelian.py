@@ -145,6 +145,44 @@ class TestBuildExhaustion:
             (exh.r_values, exh.R_values, exh.center, exh.capped)
 
     @settings(max_examples=150, deadline=None)
+    @given(st.floats(1e-3, 1), st.floats(-3, 3), st.floats(-3, 3),
+           st.integers(2, 50), st.integers(2, 50), st.integers(0, 30),
+           st.integers(0, 30), st.integers(1, 5))
+    def test_cap_is_hypot_twin(self, d, fx, fy, ncols, nrows, grow_x, grow_y,
+                               nlevels):
+        # the cap reads hypot once per distinct offset pair, only inside the
+        # box of rows and columns within the top R: each level must still be
+        # interior & (np.hypot(X - cx, Y - cy) <= R_k), bit for bit, on the
+        # base window (centre offset from the origin) and on a larger one
+        # (centre offset from the window's own)
+        x0, y0 = fx * ncols * d, fy * nrows * d
+        base = plane_region(make_grid(x0, y0, x0 + ncols * d, y0 + nrows * d, d))
+        big = plane_region(make_grid(x0 - grow_x * d, y0, x0 + ncols * d,
+                                     y0 + (nrows + grow_y) * d, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                exh = build_exhaustion(base, nlevels)
+            except ArakGridError:
+                return                      # every level empty: too thin
+            seen = [(base, exh), (big, build_exhaustion(big, like=exh))]
+        for region, got in seen:
+            assert got.capped
+            X, Y = region.grid.center_mesh()
+            rad = np.hypot(X - got.center[0], Y - got.center[1])
+            kept = dict(zip(got.level_ids, got.levels))
+            for k in range(1, nlevels + 1):
+                want = region.interior(got.r_values[k - 1]) & (rad <= got.R_values[k - 1])
+                assert np.array_equal(kept[k].bits if k in kept else
+                                      np.zeros_like(want), want)
+            # outer radii: the largest |cell centre| of each level
+            outer = [np.hypot(X, Y)[K.bits].max() for K in got.levels]
+            want = [outer[min(k + 1, len(outer) - 1)] + region.grid.delta / 2
+                    for k in range(len(outer))]
+            assert np.array(got.declared_bounds).view(np.int64).tolist() == \
+                np.array(want).view(np.int64).tolist()
+
+    @settings(max_examples=150, deadline=None)
     @given(_exhaustion_regions(), st.integers(1, 12))
     def test_levels_are_capped_interior_masks(self, region, nlevels):
         # each kept level is A_k, the cells at least r_k from the complement

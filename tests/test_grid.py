@@ -11,7 +11,8 @@ from arakgrid import (CellSet, InputError, Primitive, distance_field,
 from arakgrid.grid import MAX_CELLS, ray_exit_cells, rasterize_open_rect
 from arakgrid.scene import parse_scene
 
-from oracles import brute_distances, circle_raster_oracle
+from oracles import (brute_distances, circle_raster_oracle,
+                     segment_raster_reference)
 
 
 class TestMakeGrid:
@@ -190,6 +191,131 @@ class TestRasterize:
         got = rasterize_open_rect(g, 1, 1, 4, 4)
         assert got.count() == 9
         assert all(1 <= i <= 3 and 1 <= j <= 3 for i, j in got.cells())
+
+
+@st.composite
+def _segment_scenes(draw):
+    """A small window (any corner, cell size 1e-9 or 0.05 to 1, at most
+    20 x 20 cells) and 1 to 6 segments, polylines or rays on it.  Points lie
+    on cell edges and corners, a few floats off them, on cell centres,
+    anywhere near the window or up to 1e6 away; segments come axis-aligned, oblique, zero-length or through
+    cell corners at 45 degrees, so every slab test meets its ties."""
+    d = draw(st.sampled_from([1.0, 0.7, 0.5, 0.25, 0.125, 0.1, 0.07, 1 / 32,
+                              0.05, 1e-9]))
+    x0, y0 = draw(st.floats(-5, 5)), draw(st.floats(-5, 5))
+    g = make_grid(x0, y0, x0 + draw(st.integers(1, 20)) * d,
+                  y0 + draw(st.integers(1, 20)) * d, d)
+
+    def coord(lo, n):
+        kind = draw(st.sampled_from(["edge", "ulps", "centre", "near", "far"]))
+        k = draw(st.integers(-3, n + 3))
+        if kind == "edge":
+            return lo + k * d
+        if kind == "ulps":          # a few floats off an edge, or off its slack
+            v = lo + k * d + draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+            for _ in range(draw(st.integers(1, 4))):
+                v = math.nextafter(v, draw(st.sampled_from([math.inf, -math.inf])))
+            return v
+        if kind == "centre":
+            return lo + (k + 0.5) * d
+        if kind == "near":
+            return draw(st.floats(lo - 2, lo + (n + 2) * d))
+        return draw(st.floats(-1e6, 1e6))
+
+    def point():
+        return coord(g.xmin, g.ncols), coord(g.ymin, g.nrows)
+
+    prims = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = point()
+        shape = draw(st.sampled_from(["free", "vertical", "horizontal", "zero",
+                                      "corner", "polyline", "ray"]))
+        if shape == "polyline":
+            prims.append(Primitive.polyline([a] + [point() for _ in range(
+                draw(st.integers(1, 4)))]))
+            continue
+        if shape == "ray":
+            direction = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.0), (1.0, 1.0),
+                                              (0.0, 1e-310), None]))
+            if direction is None:
+                direction = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+            if direction != (0.0, 0.0):
+                prims.append(Primitive.ray(a, direction))
+            continue
+        b = point()
+        if shape == "vertical":
+            b = (a[0], b[1])
+        elif shape == "horizontal":
+            b = (b[0], a[1])
+        elif shape == "zero":
+            b = a
+        elif shape == "corner":     # from a cell corner along a diagonal
+            k = draw(st.integers(-g.ncols - 3, g.ncols + 3))
+            a = (g.xmin + draw(st.integers(-2, g.ncols + 2)) * d,
+                 g.ymin + draw(st.integers(-2, g.nrows + 2)) * d)
+            b = (a[0] + k * d, a[1] + draw(st.sampled_from([1, -1])) * k * d)
+        prims.append(Primitive.segment(a, b))
+    return g, prims
+
+
+class TestSegmentRasterTwin:
+    """``rasterize_closed`` draws all segments of a call in one vectorized
+    pass; it must match the per-cell slab test in Python floats
+    (``oracles.segment_raster_reference``) bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_segment_scenes())
+    def test_matches_reference(self, scene):
+        g, prims = scene
+        assert np.array_equal(rasterize_closed(prims, g).bits,
+                              segment_raster_reference(g, prims))
+
+    @pytest.mark.parametrize("prims", [
+        [Primitive.segment((0.5, 0.5), (0.5, 0.5))],            # a corner point
+        [Primitive.segment((0.0, 0.0), (2.0, 2.0))],            # corner to corner
+        [Primitive.segment((0.25, -1.0), (0.25, 3.0))],         # along a column edge
+        [Primitive.segment((-1e6, 0.3), (1e6, 0.3))],
+        [Primitive.ray((5.0, 0.3), (0.0, 1.0))],                # flat x, off the window
+        [Primitive.ray((0.3, 0.3), (1.0, 1e-310))],
+        [Primitive.polyline([(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)])],
+    ], ids=["corner-point", "diagonal", "column-edge", "wide", "ray-off",
+            "ray-flat-y", "square"])
+    def test_table(self, prims):
+        g = make_grid(0, 0, 2, 2, 0.25)
+        assert np.array_equal(rasterize_closed(prims, g).bits,
+                              segment_raster_reference(g, prims))
+
+    @pytest.mark.parametrize("window, delta, p1, p2", [
+        ((0.0, 0.38637531714225704), 0.7,
+         (1.9999999999999997e-09, 3.8863753151422573), (3.4999999989999995, 2.486375316142257)),
+        ((0.0, 0.0), 1e-9, (6.000000000000001e-09, -9.999999999999999e-10),
+         (5.999999999999999e-09, 2e-09)),
+        ((0.0, 0.031807525942958215), 1 / 3,
+         (0.9999999989999999, 0.031807525942958215), (0.6666666676666666, 2.365140859276291)),
+    ], ids=["past-the-end", "slack-sized-cells", "before-the-start"])
+    def test_box_edge_ties(self, window, delta, p1, p2):
+        # a box column or row whose own slab test fails by rounding alone:
+        # without the ``tmin <= 1`` test the first two draw a cell the
+        # reference does not, and without ``0 <= tmax`` the last does
+        x0, y0 = window
+        g = make_grid(x0, y0, x0 + 6 * delta, y0 + 6 * delta, delta)
+        prims = [Primitive.segment(p1, p2)]
+        assert np.array_equal(rasterize_closed(prims, g).bits,
+                              segment_raster_reference(g, prims))
+
+
+class TestRadialTwin:
+    """Radial fields evaluate one hypot per distinct absolute offset pair and
+    gather; they must equal ``np.hypot`` on the full mesh, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(1e-3, 1), st.floats(-3, 3), st.floats(-3, 3),
+           st.integers(1, 60), st.integers(1, 60))
+    def test_center_abs_is_hypot(self, d, x0, y0, ncols, nrows):
+        g = make_grid(x0 * ncols * d, y0 * nrows * d, x0 * ncols * d + ncols * d,
+                      y0 * nrows * d + nrows * d, d)
+        want = np.hypot(*g.center_mesh())
+        assert np.array_equal(g.center_abs().view(np.int64), want.view(np.int64))
 
 
 class TestCellSetAlgebra:

@@ -181,3 +181,20 @@ class TestSceneToRegion:
         region = sc.region()
         assert region.declared_edges == frozenset()
         assert np.argwhere(region.alpha_border).tolist() == [[7, 4]]
+
+
+class TestExpandedParts:
+    """A scene expands each set's curve fixtures once per column layout and
+    every window of a schedule reads that expansion back."""
+
+    def test_windows_share_one_expansion(self):
+        sc = parse_scene("grid -3 -3 3 8 0.03125\nomega plane\nfixture intro_staircase\n")
+        parts = sc.parts("F")
+        assert sc.parts("F", sc.grid.with_ymax(32)) is parts
+        assert sc.parts("F", make_grid(-3, -3, 3.5, 8, 0.03125)) is not parts
+
+    def test_parts_follow_the_sets(self):
+        sc = parse_scene("grid -2 -2 2 2 0.25\nomega plane\nset F segment -1 0 1 0\n")
+        before = sc.raster("F").count()
+        sc.sets["F"].append(Primitive.ray((0.1, 0.1), (0, 1)))
+        assert sc.raster("F").count() > before

@@ -1,7 +1,8 @@
 """Work counts per CLI command: component labelings, region models,
 exhaustions, sphere-complement tests, boundary distance fields, exact
-distance (feature) transforms, |cell center| fields, escape routing's BFS
-layers and the log lift's scalar ``math.log`` / ``math.atan2`` calls.
+distance (feature) transforms, |cell center| fields, ``np.hypot``
+evaluations, curve fixture expansions, escape routing's BFS layers and the
+log lift's scalar ``math.log`` / ``math.atan2`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -15,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from arakgrid import (Primitive, SampledFunction, arakelian, builder, grid,
@@ -55,6 +57,17 @@ def install_counters(monkeypatch) -> Counter:
                         counting("edts", grid.ndimage.distance_transform_edt))
     monkeypatch.setattr(grid.GridSpec, "center_abs",
                         counting("center_abs", grid.GridSpec.center_abs))
+    monkeypatch.setattr(grid, "staircase_parts",
+                        counting("staircases", grid.staircase_parts))
+    monkeypatch.setattr(grid, "bracket_parts",
+                        counting("brackets", grid.bracket_parts))
+    hypot = np.hypot
+
+    def counting_hypot(*args, **kwargs):
+        out = hypot(*args, **kwargs)
+        counts["hypot"] += np.size(out)
+        return out
+    monkeypatch.setattr(np, "hypot", counting_hypot)
     wave_init = builder._Wave.__init__
     monkeypatch.setattr(builder._Wave, "__init__", counting("waves", wave_init))
     reach = builder._Wave.reach
@@ -220,40 +233,55 @@ class TestHoleExtentsWhereRead:
     """A hole union's |cell center| extent is derived only by the callers
     that report it, not by every hole set."""
 
-    @pytest.mark.parametrize("argv, code, fields", [
-        # the exhaustion's radial cap and outer radii read one field; the
-        # refutation's holes are not measured
-        (["refute", "nested_rings.scene"], 1, 2),
-        (["render", "segment.scene", "--layers", "F,holes"], 0, 0),
-        (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0),
+    @pytest.mark.parametrize("argv, code, fields, hypots", [
+        # the exhaustion's radial cap (centred on the origin) and outer radii
+        # read one field, built from the 64 x 64 distinct |offset| pairs of
+        # a 128 x 128 window; the blocked build's disk cover draws two 3 x 3
+        # disk boxes; the refutation's holes are not measured
+        (["refute", "nested_rings.scene"], 1, 2, 64 * 64 + 2 * 9),
+        (["render", "segment.scene", "--layers", "F,holes"], 0, 0, 0),
+        (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0, 0),
     ], ids=["refute", "render-segment", "render-rings"])
-    def test_center_abs_fields(self, monkeypatch, tmp_path, argv, code, fields):
+    def test_center_abs_fields(self, monkeypatch, tmp_path, argv, code, fields,
+                               hypots):
         out = ["-o", str(tmp_path / "out.svg")] if argv[0] == "render" else []
         got, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:], *out])
         assert got == code
         assert n["center_abs"] == fields
+        assert n["hypot"] == hypots
 
 
 class TestCenterAbsPerGrid:
-    """``GridSpec.center_abs`` builds its field once per grid and hands out
-    the same read-only array after that."""
+    """``GridSpec.center_abs`` builds its field once per grid, from one hypot
+    per distinct pair of absolute centre offsets, and hands out the same
+    read-only array after that."""
 
     def test_one_field_per_grid(self, monkeypatch):
         fields = []         # every array returned, kept alive so ids stay unique
         center_abs = grid.GridSpec.center_abs
+        n = install_counters(monkeypatch)
+        built = []          # hypot evaluations of each first call on a grid
 
         def recording(self):
+            before = n["hypot"]
             fields.append(center_abs(self))
+            if n["hypot"] > before:
+                built.append(n["hypot"] - before)
             return fields[-1]
 
         monkeypatch.setattr(grid.GridSpec, "center_abs", recording)
-        code, n = count_work(monkeypatch, [
-            "check", scene("intro_staircase.scene"), "--windows", "8,16,32"])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(["check", scene("intro_staircase.scene"),
+                            "--windows", "8,16,32"])
         assert code == 2
         assert n["regions"] == 3
-        # distinct arrays are hypot builds: one per window's grid
+        # distinct arrays are hypot builds: one per window's grid.  Columns
+        # span [-3, 3] (96 distinct |x|) and rows [-3, ymax] (ymax * 32
+        # distinct |y|): the full mesh would be 67,584 + 116,736 + 215,040
         assert len({id(f) for f in fields}) == 3
-        assert n["center_abs"] == len(fields) > 3
+        assert built == [96 * 256, 96 * 512, 96 * 1024]
+        assert len(fields) > 3
 
     def test_field_is_cached_and_read_only(self):
         g = make_grid(-1, -1, 1, 1, 0.25)
@@ -262,6 +290,32 @@ class TestCenterAbsPerGrid:
         assert make_grid(-1, -1, 1, 1, 0.25).center_abs() is not field
         with pytest.raises(ValueError):
             field[0, 0] = 0.0
+
+
+class TestWindowsCheckWork:
+    """A ``--windows`` check pays for its labelings.  Each curve fixture is
+    expanded once, because every window of a schedule shares the column
+    layout that its parts depend on (6 staircase expansions and 162
+    ``bracket_parts`` calls before: one for the raster and one for the ray
+    exits, per window).  Radial fields run hypot once per distinct |offset|
+    pair, and the cap only inside its box (798,720 evaluations before: a
+    full cap field and a full |cell centre| field per window)."""
+
+    @pytest.mark.parametrize("name, staircases, brackets", [
+        ("intro_staircase.scene", 1, 0),
+        ("ex_2_11.scene", 0, 27),           # 32 brackets asked, 27 fit
+    ], ids=["staircase", "brackets"])
+    def test_fixture_expansions_and_hypots(self, monkeypatch, name, staircases,
+                                           brackets):
+        code, n = count_work(monkeypatch, [
+            "check", scene(name), "--windows", "8,16,32"])
+        assert code == 2
+        assert n["labelings"] == 11
+        assert n["staircases"] == staircases
+        assert n["brackets"] == brackets
+        # 172,032 for the three |cell centre| fields, the rest for the caps
+        # around (0, 2.5) with R = 6.26 (rows up to y = 8.76)
+        assert n["hypot"] <= 250_000
 
 
 class TestEdtsPerConstruction:
