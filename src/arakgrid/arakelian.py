@@ -252,8 +252,7 @@ class ArakelianVerdict:
     growth: list | None = None
     extents: list | None = None          # [window][level] ExtentRecords
     window_tops: list | None = None
-    alpha_w: CellSet | None = None
-    alpha_w_connected: bool | None = None
+    alpha_w: CellSet | None = None        # set only when verified: connected
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -269,10 +268,8 @@ class ArakelianVerdict:
             "extents": {
                 "table": ext,
                 "growth": self.growth,
-                "alpha_neighborhood": (
-                    None if self.alpha_w is None else
-                    {"cells": self.alpha_w.count(),
-                     "connected": self.alpha_w_connected}),
+                "alpha_neighborhood": None if self.alpha_w is None else
+                    {"cells": self.alpha_w.count(), "connected": True},
                 "reason": self.reason,
             },
         }
@@ -377,9 +374,6 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion | in
                 reasons.append(
                     f"level {rec.level} hole union reaches {rec.max_abs:.6g}, "
                     f"beyond its compact bound {exh_g.declared_bounds[k]:.6g}")
-            if rec.count and rec.min_bd_dist < region_g.grid.delta * 0.9:
-                reasons.append(
-                    f"level {rec.level} hole union hugs the region boundary")
         per_window.append(recs)
         window_tops.append(g.ymax)
 
@@ -415,8 +409,7 @@ def check_arakelian(F: CellSet, region: RegionModel, exhaustion: Exhaustion | in
                 reason="alpha neighborhood at the top level is not connected")
         return ArakelianVerdict(VERIFIED_UP_TO, level=exhaustion.top_level,
                                 extents=per_window, window_tops=window_tops,
-                                growth=growth_rows, alpha_w=nbhd.w,
-                                alpha_w_connected=nbhd.connected)
+                                growth=growth_rows, alpha_w=nbhd.w)
 
     return ArakelianVerdict(INCONCLUSIVE, extents=per_window,
                             window_tops=window_tops, growth=growth_rows,

@@ -273,20 +273,20 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
         return EscapePlan([], CellSet.empty(grid))
 
     carriers = [F] + [F | K for K in exhaustion.levels]     # F | K_s, K_0 empty
-    lab_at = functools.cache(lambda s: holes(carriers[s], region).labeling)
+    hs_at = functools.cache(lambda s: holes(carriers[s], region))
 
     def status(s, i, j):
         """Stage s's alpha status of cell (i, j)'s component; None off its domain."""
-        lab = lab_at(s)
-        return None if lab.labels[j, i] < 0 else lab.alpha_reach[lab.labels[j, i]]
+        lbl = hs_at(s).labeling.labels[j, i]
+        return None if lbl < 0 else hs_at(s).status[lbl]
 
     @functools.cache
     def wave(s, target):
         """The BFS in stage s's domain to the alpha-reaching components of
         stage ``target``, or to alpha-adjacent cells when it is None."""
         bits = region.alpha_adjacent if target is None else \
-            lab_at(target).reach_mask(REACHES_ALPHA)
-        return _Wave(lab_at(s).labels >= 0, bits)
+            hs_at(target).reach_mask(REACHES_ALPHA)
+        return _Wave(hs_at(s).labeling.labels >= 0, bits)
 
     top = len(exhaustion.levels)
     curves = []
@@ -309,15 +309,15 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
         cur = (i, j)
         s_here = m
         for s in range(m + 1, top + 1):
-            if REACHES_ALPHA not in lab_at(s).alpha_reach:
+            if REACHES_ALPHA not in hs_at(s).status:
                 break                       # no target: no walk could end
             seg = _walk_down(cur, wave(s_here, s).reach(cur))
             if seg is None:
                 break
             cur, s_here = seg[-1], s
-            stages.append(StageRecord(s, int(lab_at(s).labels[cur[1], cur[0]]), seg))
+            stages.append(StageRecord(s, int(hs_at(s).labeling.labels[cur[1], cur[0]]), seg))
 
-        comp_fin = int(lab_at(s_here).labels[cur[1], cur[0]])
+        comp_fin = int(hs_at(s_here).labeling.labels[cur[1], cur[0]])
         seg = _walk_down(cur, wave(s_here, None).reach(cur))
         if seg is None:
             raise BuildRefusalError(

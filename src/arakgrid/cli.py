@@ -145,9 +145,9 @@ def _cmd_check(args, scene: Scene, region: RegionModel) -> _Outcome:
 def _cmd_holes(args, scene: Scene, region: RegionModel) -> _Outcome:
     F = scene.raster(args.set)
     K = _parse_with_k(args.with_k, scene.grid)
-    hs = ak.holes(F | K, region)
-    rec = ak._extent(hs, region)
-    pts = [list(region.grid.cell_center(i, j)) for i, j in hs.witness_cells()]
+    rec = ak.hole_union_extent(F, K, region)
+    cells = ak.holes(F | K, region).witness_cells()    # the region's kept hole set
+    pts = [list(region.grid.cell_center(i, j)) for i, j in cells]
     report = _report("HOLES", pts, rec.to_dict() | {"level": None})
     lines = [f"holes: {rec.count} (ambiguous components: {rec.n_ambiguous})",
              f"max |center|: {rec.max_abs:.6g}  area: {rec.area:.6g}"]

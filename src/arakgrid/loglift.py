@@ -131,7 +131,7 @@ def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunct
     its parent's plus the increment, bit for bit as cell by cell.  Phases are
     ``math.atan2``, which unlike ``cmath.phase`` never raises on underflow.
     """
-    lab = label_components(v, 4)
+    lab = label_components(v)
     roots = [CellSet(v.grid, lab.labels == k).min_cell() for k in range(lab.n)]
     if root_cell is not None and v.bits[root_cell[1], root_cell[0]]:
         roots[lab.labels[root_cell[1], root_cell[0]]] = root_cell

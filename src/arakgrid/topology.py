@@ -26,11 +26,10 @@ from .errors import InputError, NotSimplyConnectedError, PreconditionError
 from .grid import (CellSet, GridSpec, Primitive, distance_field,
                    rasterize_closed, rasterize_open_disk, rasterize_open_rect)
 
-# component statuses, the values of ``ComponentLabeling.alpha_reach``
+# component statuses, the values of ``HoleSet.status``
 ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS = 0, 1, 2
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-EIGHT = np.ones((3, 3), dtype=bool)
 
 # window edges as cell slices; a scene's "all" declares the four of them
 _EDGES = {"N": np.s_[-1, :], "S": np.s_[0, :], "E": np.s_[:, -1], "W": np.s_[:, 0]}
@@ -69,7 +68,6 @@ class RegionModel:
     alpha_border: np.ndarray = field(init=False)
     alpha_adjacent: np.ndarray = field(init=False)
     ambiguous_contact: np.ndarray = field(init=False)
-    window_border: np.ndarray = field(init=False)
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
     _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
     _hole_sets: dict = field(init=False, default_factory=dict)    # see ``holes``
@@ -86,7 +84,6 @@ class RegionModel:
                 alpha[cells] = True
         if exits is not None:
             alpha |= exits & border
-        self.window_border = border
         self.alpha_border = alpha
         inner_complement = dilate(~self.omega.bits, 4)
         self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
@@ -197,7 +194,7 @@ def plane_region(grid: GridSpec) -> RegionModel:
         region = RegionModel(own, CellSet.full(own), frozenset(_EDGES),
                              simply_connected=True)
         for a in (region.omega.bits, region.alpha_border, region.alpha_adjacent,
-                  region.ambiguous_contact, region.window_border):
+                  region.ambiguous_contact):
             a.flags.writeable = False
         object.__setattr__(grid, "_plane_region", region)    # frozen dataclass
     return grid.__dict__["_plane_region"]
@@ -230,35 +227,21 @@ def custom_region(grid: GridSpec, omega: CellSet, *, unbounded_edges=(),
 
 @dataclass(eq=False)
 class ComponentLabeling:
-    """Partition of a cell set into connected components.
+    """Partition of a cell set into 4-connected components.
 
     Labels are dense from 0 and deterministic: scanning row-major, the first
-    cell of a new component gets the smallest unused label.  ``alpha_reach``
-    is present when a region was supplied at labeling time: one int8 status
-    per label, REACHES_ALPHA, WINDOW_AMBIGUOUS or ENCLOSED.
+    cell of a new component gets the smallest unused label.
     """
 
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
-    alpha_reach: np.ndarray | None = None
-
-    def reach_mask(self, status: int) -> np.ndarray:
-        if self.alpha_reach is None:
-            raise InputError("labeling carries no alpha classification")
-        # one lookup per cell; the trailing False is what label -1 reads
-        return np.append(self.alpha_reach == status, False)[self.labels]
 
 
-def label_components(domain: CellSet, connectivity: int,
-                     region: RegionModel | None = None) -> ComponentLabeling:
-    """Label the domain's connected components (4- or 8-connectivity)."""
-    if connectivity not in (4, 8):
-        raise InputError("connectivity must be 4 or 8")
+def label_components(domain: CellSet) -> ComponentLabeling:
+    """Label the domain's 4-connected components."""
     if not domain.bits.any():       # nothing to label: every label is -1
-        return ComponentLabeling(np.full(domain.bits.shape, -1, np.int32), 0,
-                                 None if region is None else np.zeros(0, np.int8))
-    structure = FOUR if connectivity == 4 else EIGHT
-    labels, n = ndimage.label(domain.bits, structure=structure)
+        return ComponentLabeling(np.full(domain.bits.shape, -1, np.int32), 0)
+    labels, n = ndimage.label(domain.bits, structure=FOUR)
     # scipy's order is first-seen row-major, undocumented: check it at run heads
     flat = labels.ravel()
     heads = np.append(flat[0], flat[1:][flat[1:] != flat[:-1]])
@@ -266,29 +249,26 @@ def label_components(domain: CellSet, connectivity: int,
         first = np.unique(flat, return_index=True)[1][-n:]   # labels 1..n
         labels = np.append(0, np.argsort(np.argsort(first)) + 1).astype(np.int32)[labels]
     labels -= 1
-
-    alpha_reach = None
-    if region is not None:
-        alpha_hits = np.bincount(labels[region.alpha_adjacent & domain.bits],
-                                 minlength=n)
-        amb_hits = np.bincount(labels[region.ambiguous_contact & domain.bits],
-                               minlength=n)
-        alpha_reach = np.where(alpha_hits > 0, REACHES_ALPHA, np.where(
-            amb_hits > 0, WINDOW_AMBIGUOUS, ENCLOSED)).astype(np.int8)
-    return ComponentLabeling(labels, n, alpha_reach)
+    return ComponentLabeling(labels, n)
 
 
 @dataclass(eq=False)
 class HoleSet:
-    """Complement components conclusively trapped inside the region, and the
-    window-ambiguous ones, as labels of one labeling of region - F.  Extents
-    of the union are derived by the callers that read them."""
+    """One labeling of region - F and its components' statuses against alpha
+    (one int8 per label, see ``holes``); the holes are the ENCLOSED ones.
+    Extents of their union are derived by the callers that read them."""
 
     hole_labels: tuple[int, ...]
     union: CellSet
     count: int
     ambiguous_labels: tuple[int, ...]
     labeling: ComponentLabeling
+    status: np.ndarray
+
+    def reach_mask(self, status: int) -> np.ndarray:
+        """The cells of the components with this status."""
+        # one lookup per cell; the trailing False is what label -1 reads
+        return np.append(self.status == status, False)[self.labeling.labels]
 
     def witness_cells(self) -> list[tuple[int, int]]:
         """One deterministic representative per hole (lex-smallest (i, j))."""
@@ -298,8 +278,10 @@ class HoleSet:
 
 
 def holes(F: CellSet, region: RegionModel) -> HoleSet:
-    """Holes of F in the region: components of region-minus-F that neither
-    touch the region boundary nor any declared-unbounded window edge.
+    """Holes of F in the region, and the one place each component of
+    region - F gets its status: REACHES_ALPHA with an alpha-adjacent cell,
+    else WINDOW_AMBIGUOUS with a cell on an undeclared window edge, else
+    ENCLOSED, a hole.
 
     The one place a hole set is reused: the region keeps the last 4 returned
     for a non-empty region - F, keyed on F's cells, oldest evicted first,
@@ -315,14 +297,18 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     domain = region.omega - F
     if region._no_domain is not None and domain.is_empty():
         return region._no_domain
-    lab = label_components(domain, 4, region)
-    hole_labels = tuple(np.flatnonzero(lab.alpha_reach == ENCLOSED).tolist())
-    amb = tuple(np.flatnonzero(lab.alpha_reach == WINDOW_AMBIGUOUS).tolist())
-    union = CellSet(region.grid, lab.reach_mask(ENCLOSED)) if hole_labels \
+    lab = label_components(domain)
+    alpha_hits, amb_hits = (np.bincount(lab.labels[m & domain.bits], minlength=lab.n)
+                            for m in (region.alpha_adjacent, region.ambiguous_contact))
+    status = np.where(alpha_hits > 0, REACHES_ALPHA, np.where(
+        amb_hits > 0, WINDOW_AMBIGUOUS, ENCLOSED)).astype(np.int8)
+    hole_labels = tuple(np.flatnonzero(status == ENCLOSED).tolist())
+    amb = tuple(np.flatnonzero(status == WINDOW_AMBIGUOUS).tolist())
+    hs = HoleSet(hole_labels, None, len(hole_labels), amb, lab, status)
+    hs.union = CellSet(region.grid, hs.reach_mask(ENCLOSED)) if hole_labels \
         else CellSet.empty(region.grid)
-    for a in (lab.labels, lab.alpha_reach, union.bits):
+    for a in (lab.labels, status, hs.union.bits):
         a.flags.writeable = False
-    hs = HoleSet(hole_labels, union, len(hole_labels), amb, lab)
     if not lab.n:                   # an empty domain: F fills the region
         region._no_domain = hs
     else:
@@ -365,7 +351,8 @@ def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:
     part of it) plus a virtual infinity node adjacent to every window-border
     cell.  Only meaningful, and only allowed, on regions declared simply
     connected.  On a region filling the window, ~G is region - G, and the
-    answer is whether ``holes(G, region)`` finds no hole.
+    answer is whether ``holes(G, region)`` finds no hole; elsewhere, whether
+    each component of ~G has a label on the window's edge rows or columns.
     """
     if not region.simply_connected:
         raise NotSimplyConnectedError(
@@ -374,8 +361,7 @@ def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:
         raise PreconditionError("G must lie inside the region")
     if region.omega.bits.all():
         return holes(G, region).count == 0
-    domain = CellSet(region.grid, ~G.bits)     # never empty: omega is not the window
-    lab = label_components(domain, 4)
-    border_hits = np.bincount(
-        lab.labels[region.window_border & domain.bits], minlength=lab.n)
-    return bool((border_hits > 0).all())
+    lab = label_components(CellSet(region.grid, ~G.bits))
+    edges = np.concatenate([lab.labels[0], lab.labels[-1],
+                            lab.labels[:, 0], lab.labels[:, -1]])
+    return bool(np.bincount(edges[edges >= 0], minlength=lab.n).all())

@@ -254,6 +254,40 @@ class TestHoleUnionExtent:
         assert rec.max_abs == pytest.approx(
             float(g.center_abs()[want].max()), abs=0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20),
+           st.sampled_from([1, 0.1, 0.3, 1 / 3, 0.07]),
+           st.sets(st.sampled_from("NSEW")), st.sampled_from([0.0, 0.2]),
+           st.floats(0.5, 1.0), st.floats(0.2, 0.6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_holes_keep_a_diagonal_from_the_boundary(
+            self, nrows, ncols, delta, edges, exit_p, omega_p, f_p, with_k, seed):
+        # a hole cell is never alpha-adjacent, so no complement cell is
+        # 4-adjacent to it, and never on an undeclared window edge, which
+        # leaves at least 1.5 delta to that edge: sqrt(2) delta at least
+        g = make_grid(0, 0, ncols * delta, nrows * delta, delta)
+        gen = np.random.default_rng(seed)
+        omega = gen.random((g.nrows, g.ncols)) < omega_p
+        omega[0, 0] = True                  # never empty
+        region = custom_region(
+            g, CellSet(g, omega), unbounded_edges=tuple(edges),
+            extra_unbounded=gen.random(omega.shape) < exit_p)
+        F = CellSet(g, omega & (gen.random(omega.shape) < f_p))
+        K = CellSet(g, omega & (gen.random(omega.shape) < f_p / 2) & with_k)
+        rec = hole_union_extent(F, K, region)
+        assert rec.count == 0 or rec.min_bd_dist >= math.sqrt(2) * delta
+
+    @pytest.mark.parametrize("delta", [1, 0.1, 0.3, 1 / 3, 0.07])
+    def test_diagonal_complement_cell_is_the_nearest(self, delta):
+        # F walls in one cell whose diagonal neighbour is off the region
+        g = make_grid(0, 0, 7 * delta, 7 * delta, delta)
+        omega = np.ones((7, 7), dtype=bool)
+        omega[2, 2] = False
+        F = CellSet.from_cells(g, [(2, 3), (3, 2), (4, 3), (3, 4)])
+        rec = hole_union_extent(F, CellSet.empty(g),
+                                custom_region(g, CellSet(g, omega)))
+        assert rec.count == 1 and rec.min_bd_dist == math.sqrt(2) * delta
+
 
 class TestCheckArakelian:
     def test_segment_in_plane_verified_all_extents_empty(self):

@@ -22,6 +22,10 @@ from oracles import (flood_components, interior_reference, naive_dilate,
 
 rng = np.random.default_rng(20250810)
 
+# ``oracles.naive_reach``'s status names and the values of ``HoleSet.status``
+STATUS_CODES = {"ENCLOSED": ENCLOSED, "REACHES_ALPHA": REACHES_ALPHA,
+                "WINDOW_AMBIGUOUS": WINDOW_AMBIGUOUS}
+
 
 def _random_bits(shape, p=0.45):
     return rng.random(shape) < p
@@ -30,23 +34,20 @@ def _random_bits(shape, p=0.45):
 class TestLabelComponents:
     def test_empty_domain(self):
         g = make_grid(0, 0, 4, 4, 1)
-        lab = label_components(CellSet.empty(g), 4)
+        lab = label_components(CellSet.empty(g))
         assert lab.n == 0
 
     def test_diagonal_cells(self):
         g = make_grid(0, 0, 4, 4, 1)
         s = CellSet.from_cells(g, [(1, 1), (2, 2)])
-        assert label_components(s, 4).n == 2
-        assert label_components(s, 8).n == 1
+        assert label_components(s).n == 2
 
     def test_matches_flood_fill_including_label_order(self):
         g = make_grid(0, 0, 16, 16, 1)
         for _ in range(300):
             bits = _random_bits((16, 16))
-            for conn in (4, 8):
-                lab = label_components(CellSet(g, bits), conn)
-                want = flood_components(bits, conn)
-                assert np.array_equal(lab.labels, want)
+            lab = label_components(CellSet(g, bits))
+            assert np.array_equal(lab.labels, flood_components(bits, 4))
 
     @pytest.mark.parametrize("kind", ["open-rect", "punctured-disk", "custom"])
     def test_alpha_reach_matches_naive(self, kind):
@@ -61,16 +62,16 @@ class TestLabelComponents:
                 g, CellSet(g, local.random((16, 16)) >= 0.15),
                 unbounded_edges=("N", "W")),
         }[kind]()
-        codes = {"ENCLOSED": ENCLOSED, "REACHES_ALPHA": REACHES_ALPHA,
-                 "WINDOW_AMBIGUOUS": WINDOW_AMBIGUOUS}
         seen = set()
         for _ in range(100):
-            dom = CellSet(g, (local.random((16, 16)) < 0.55) & region.omega.bits)
-            lab = label_components(dom, 4, region)
-            assert lab.alpha_reach.dtype == np.int8
+            dom = (local.random((16, 16)) < 0.55) & region.omega.bits
+            hs = holes(CellSet(g, region.omega.bits & ~dom), region)
+            lab = hs.labeling
+            assert np.array_equal(lab.labels, flood_components(dom, 4))
+            assert hs.status.dtype == np.int8
             want = naive_reach(lab.labels, lab.n, region.omega.bits,
                                region.alpha_border)
-            assert lab.alpha_reach.tolist() == [codes[st] for st in want]
+            assert hs.status.tolist() == [STATUS_CODES[st] for st in want]
             seen.update(want)
         # only the custom region touches undeclared window edges
         assert {"ENCLOSED", "REACHES_ALPHA"} <= seen
@@ -78,14 +79,14 @@ class TestLabelComponents:
 
     def test_empty_domain_has_empty_alpha_reach(self):
         g = make_grid(0, 0, 4, 4, 1)
-        lab = label_components(CellSet.empty(g), 4, plane_region(g))
-        assert lab.n == 0 and lab.alpha_reach.dtype == np.int8
-        assert lab.alpha_reach.shape == (0,) and (lab.labels == -1).all()
+        hs = holes(CellSet.full(g), plane_region(g))
+        assert hs.labeling.n == 0 and hs.status.dtype == np.int8
+        assert hs.status.shape == (0,) and (hs.labeling.labels == -1).all()
 
     def test_partition_properties(self):
         g = make_grid(0, 0, 12, 12, 1)
         bits = _random_bits((12, 12))
-        lab = label_components(CellSet(g, bits), 4)
+        lab = label_components(CellSet(g, bits))
         assert ((lab.labels >= 0) == bits).all()
         assert set(np.unique(lab.labels[bits]).tolist()) == set(range(lab.n))
 
@@ -159,32 +160,33 @@ class TestLabelOrder:
     relabel fallback must give the same labeling when the check fails."""
 
     @settings(max_examples=300, deadline=None)
-    @given(structured_masks(), st.sampled_from([4, 8]))
-    @example(_comb(1, 40, 2), 4)
-    @example(_comb(40, 1, 2), 4)
-    @example(np.array([[True, False, True, False, True]]), 8)
-    @example(np.array([[True], [False], [True], [True]]), 8)
-    @example(_nested_us(12, 23), 4)
-    @example(_spiral(17, 19), 8)
-    def test_structured_masks_match_flood_fill(self, bits, conn):
+    @given(structured_masks())
+    @example(_comb(1, 40, 2))
+    @example(_comb(40, 1, 2))
+    @example(np.array([[True, False, True, False, True]]))
+    @example(np.array([[True], [False], [True], [True]]))
+    @example(_nested_us(12, 23))
+    @example(_spiral(17, 19))
+    def test_structured_masks_match_flood_fill(self, bits):
         g = make_grid(0, 0, bits.shape[1], bits.shape[0], 1)
-        lab = label_components(CellSet(g, bits), conn)
+        lab = label_components(CellSet(g, bits))
         assert lab.labels.dtype == np.int32
-        assert np.array_equal(lab.labels, flood_components(bits, conn))
+        assert np.array_equal(lab.labels, flood_components(bits, 4))
 
     @pytest.mark.parametrize("permute", ["reverse", "rotate", "random"])
-    @pytest.mark.parametrize("conn", [4, 8])
+    @pytest.mark.parametrize("conn", [4])
     def test_relabel_fallback_restores_row_major_order(self, monkeypatch,
                                                        permute, conn):
+        # each hole set on a new region: none is read back from a kept one
         g = make_grid(0, 0, 16, 16, 1)
-        region = custom_region(g, CellSet(g, _nested_us(16, 16) | ~_comb(16, 16, 3)),
-                               unbounded_edges=("N", "W"))
+        omega = CellSet(g, _nested_us(16, 16) | ~_comb(16, 16, 3))
+        region = lambda: custom_region(g, omega, unbounded_edges=("N", "W"))
         local = np.random.default_rng(20250812)
         domains = [_nested_us(16, 16), _comb(16, 16, 3)[::-1].copy()] + \
             [local.random((16, 16)) < 0.45 for _ in range(20)]
+        carriers = [CellSet(g, omega.bits & ~d) for d in domains]
         label = topology.ndimage.label
-        wants = [label_components(CellSet(g, d & region.omega.bits), conn, region)
-                 for d in domains]
+        wants = [holes(F, region()) for F in carriers]
         calls = []
 
         def permuted_label(bits, structure):
@@ -196,13 +198,13 @@ class TestLabelOrder:
             return np.concatenate([[0], perm]).astype(raw.dtype)[raw], n
 
         monkeypatch.setattr(topology.ndimage, "label", permuted_label)
-        for d, want in zip(domains, wants):
-            bits = d & region.omega.bits
-            got = label_components(CellSet(g, bits), conn, region)
-            assert got.labels.dtype == np.int32
-            assert np.array_equal(got.labels, flood_components(bits, conn))
-            assert got.n == want.n
-            assert np.array_equal(got.alpha_reach, want.alpha_reach)
+        for d, F, want in zip(domains, carriers, wants):
+            got = holes(F, region())
+            assert got.labeling.labels.dtype == np.int32
+            assert np.array_equal(got.labeling.labels,
+                                  flood_components(d & omega.bits, conn))
+            assert got.labeling.n == want.labeling.n
+            assert np.array_equal(got.status, want.status)
         # the permutations moved labels, so the fallback really ran
         assert len(calls) == len(domains) and max(calls) >= 2
 
@@ -217,7 +219,7 @@ class TestDilate:
         got = topology.dilate(bits, connectivity)
         assert got.dtype == bool and got.shape == bits.shape
         assert np.array_equal(got, naive_dilate(bits, connectivity))
-        structure = topology.FOUR if connectivity == 4 else topology.EIGHT
+        structure = topology.ndimage.generate_binary_structure(2, connectivity // 4)
         assert np.array_equal(got, topology.ndimage.binary_dilation(bits, structure))
         assert np.array_equal(bits, before)         # input left alone
 
@@ -363,10 +365,9 @@ class TestHoles:
         F = rasterize_closed([Primitive.circle((0, 0), 0.5)], g)
         hs = holes(F, region)
         assert hs.count == 0
-        lab = hs.labeling
         ci, cj = g.point_cell(0.0, 0.25)
-        inner = lab.labels[cj, ci]
-        assert lab.alpha_reach[inner] == REACHES_ALPHA
+        inner = hs.labeling.labels[cj, ci]
+        assert hs.status[inner] == REACHES_ALPHA
 
     def test_requires_subset(self):
         g = make_grid(0, 0, 5, 5, 1)
@@ -380,10 +381,9 @@ class TestHoles:
         for _ in range(50):
             F = CellSet(g, _random_bits((14, 14)) & region.omega.bits)
             hs = holes(F, region)
-            lab = hs.labeling
-            n_alpha = int((lab.alpha_reach == REACHES_ALPHA).sum())
-            n_amb = int((lab.alpha_reach == WINDOW_AMBIGUOUS).sum())
-            assert hs.count + n_alpha + n_amb == lab.n
+            n_alpha = int((hs.status == REACHES_ALPHA).sum())
+            n_amb = int((hs.status == WINDOW_AMBIGUOUS).sum())
+            assert hs.count + n_alpha + n_amb == hs.labeling.n
 
     def test_matches_naive_on_random_scenes(self):
         g = make_grid(0, 0, 16, 16, 1)
@@ -404,7 +404,7 @@ def _edge_region(g):
 def _hole_set_bytes(hs):
     lab = hs.labeling
     return (hs.hole_labels, hs.ambiguous_labels, hs.count, lab.n,
-            lab.labels.tobytes(), lab.alpha_reach.tobytes(),
+            lab.labels.tobytes(), hs.status.tobytes(),
             hs.union.bits.tobytes())
 
 
@@ -441,8 +441,7 @@ class TestHoleSetsKept:
     def test_arrays_reject_writes(self, ring):
         g = make_grid(0, 0, 5, 5, 1)
         hs = holes(_ring3(g) if ring else CellSet.empty(g), plane_region(g))
-        lab = hs.labeling
-        for arr in (lab.labels, lab.alpha_reach, hs.union.bits):
+        for arr in (hs.labeling.labels, hs.status, hs.union.bits):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -472,8 +471,7 @@ class TestPlaneRegionPerGrid:
     def test_arrays_reject_writes(self):
         region = plane_region(make_grid(-1, -1, 1, 1, 0.25))
         for arr in (region.omega.bits, region.alpha_border,
-                    region.alpha_adjacent, region.ambiguous_contact,
-                    region.window_border):
+                    region.alpha_adjacent, region.ambiguous_contact):
             with pytest.raises(ValueError):
                 arr[0, 0] = False
 
@@ -592,16 +590,16 @@ class TestJordanDuality:
     def test_circle_raster_separates_into_two(self, r, delta):
         g = make_grid(-1, -1, 1, 1, delta)
         curve = rasterize_closed([Primitive.circle((0, 0), r)], g)
-        assert label_components(curve, 8).n == 1
+        assert flood_components(curve.bits, 8).max() == 0      # one component
         complement = CellSet(g, ~curve.bits)
-        assert label_components(complement, 4).n == 2
+        assert label_components(complement).n == 2
 
     def test_square_ring_separates_into_two(self):
         g = make_grid(-2, -2, 2, 2, 1 / 16)
         ring = Primitive.polyline([(-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1)])
         curve = rasterize_closed([ring], g)
-        assert label_components(curve, 8).n == 1
-        assert label_components(CellSet(g, ~curve.bits), 4).n == 2
+        assert flood_components(curve.bits, 8).max() == 0      # one component
+        assert label_components(CellSet(g, ~curve.bits)).n == 2
 
 
 class TestAlphaMonotone:
@@ -620,12 +618,15 @@ class TestAlphaMonotone:
             big = plane_region(big_grid)
             F_small = rasterize_closed([prim], small_grid)
             F_big = rasterize_closed([prim], big_grid)
-            lab_small = label_components(small.omega - F_small, 4, small)
-            lab_big = label_components(big.omega - F_big, 4, big)
-            for lbl in np.flatnonzero(lab_small.alpha_reach == REACHES_ALPHA):
-                js, iis = np.nonzero(lab_small.labels == lbl)
-                big_lbl = lab_big.labels[js[0], iis[0]]
-                assert lab_big.alpha_reach[big_lbl] != ENCLOSED
+            hs_small, hs_big = holes(F_small, small), holes(F_big, big)
+            for hs, region in ((hs_small, small), (hs_big, big)):
+                want = naive_reach(hs.labeling.labels, hs.labeling.n,
+                                   region.omega.bits, region.alpha_border)
+                assert hs.status.tolist() == [STATUS_CODES[st] for st in want]
+            small_labels, big_labels = hs_small.labeling.labels, hs_big.labeling.labels
+            for lbl in np.flatnonzero(hs_small.status == REACHES_ALPHA):
+                js, iis = np.nonzero(small_labels == lbl)
+                assert hs_big.status[big_labels[js[0], iis[0]]] != ENCLOSED
 
     def test_window_growth_on_bounded_region_keeps_classification(self):
         for delta in (1 / 16, 1 / 32):

@@ -222,7 +222,7 @@ class TestFilledRegionHoleSet:
         assert again is hs and calls["label"] == 1
         assert hs.count == 0 and hs.labeling.n == 0 and hs.union.is_empty()
         assert (hs.labeling.labels == -1).all()
-        for a in (hs.labeling.labels, hs.labeling.alpha_reach, hs.union.bits):
+        for a in (hs.labeling.labels, hs.status, hs.union.bits):
             assert not a.flags.writeable
         # kept apart: the 4 slots still hold the empty carrier's hole set
         assert list(region._hole_sets.values()) == [other]
