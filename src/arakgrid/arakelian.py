@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArakGridError, PreconditionError
-from .grid import CellSet, GridSpec, radial_field
+from .grid import CellSet, GridSpec
 from .topology import HoleSet, RegionModel, dilate, holes
 
 
@@ -130,10 +130,9 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
 
     ``Exhaustion.validate`` re-checks both.
 
-    The cap's radii are ``hypot(dx, dy)`` from the centre, evaluated only in
-    the box of columns and rows with ``|dx|, |dy| <= R_nlevels``: a faithfully
-    rounded hypot is never below ``max(|dx|, |dy|)``, so no cell outside the
-    box is within any level's cap.
+    No |centre| field is built: each row's cap is one |dx| threshold per
+    level (``_row_thresholds``), and outer radii are read from the levels'
+    row ends (``_outer_radii``).
 
     ``like`` takes another exhaustion's nlevels, r, R, center and cap
     instead, so the same compact levels are observed on another window.
@@ -159,19 +158,14 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
 
     if capped:
         xs, ys = grid.center_axes()
-        dx, dy = xs - center[0], ys - center[1]
-        box = _within(dy, R_values[-1]), _within(dx, R_values[-1])
-        # x - 0.0 == x: the origin's field is bit-equal
-        rad = grid.center_abs()[box] if center == (0.0, 0.0) else \
-            radial_field(dx[box[1]], dy[box[0]])
+        adx = np.abs(xs - center[0])
+        thr = _row_thresholds(adx, np.abs(ys - center[1]), R_values)
 
     levels, ids = [], []
     for k in range(1, nlevels + 1):
         bits = region.interior(r_values[k - 1])
         if capped:
-            cap = np.zeros_like(bits)
-            cap[box] = bits[box] & (rad <= R_values[k - 1])
-            bits = cap
+            bits &= adx <= thr[k - 1, :, None]
         if not bits.any():
             warnings.warn(f"exhaustion level {k} is empty and was skipped")
             continue
@@ -181,20 +175,62 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
     if not levels:
         raise ArakGridError("no nonempty exhaustion level; region too thin")
 
-    abs_centers = grid.center_abs()
-    outer = [float(abs_centers[K.bits].max()) for K in levels]
-    bounds = [outer[min(k + 1, len(levels) - 1)] + grid.delta / 2
-              for k in range(len(levels))]
+    # level k's bound reads level k + 1's outer radius, the top level its own
+    outer = _outer_radii(np.stack([K.bits for K in levels[1:] or levels]), grid).tolist()
+    bounds = [r + grid.delta / 2 for r in outer + outer[-1:]][:len(levels)]
     exh = region._exhaustions[key] = Exhaustion(
         levels, ids, list(r_values), list(R_values) if capped else None,
         tuple(center), capped, bounds)
     return exh
 
 
-def _within(offsets: np.ndarray, R: float) -> slice:
-    """The cells of a sorted centre-offset axis with ``|offset| <= R``."""
-    return slice(int(np.searchsorted(offsets, -R, "left")),
-                 int(np.searchsorted(offsets, R, "right")))
+_PROBES = np.array([1, 0])[:, None, None]   # the seed count's last and next values
+
+
+def _row_thresholds(adx: np.ndarray, ady: np.ndarray, R_values) -> np.ndarray:
+    """``thr[k, j]``: the largest ``adx`` value u with ``hypot(u, ady[j]) <=
+    R_values[k]``, -inf when there is none.  C Annex F makes ``hypot(x, y)``
+    and ``hypot(|x|, |y|)`` equal, so with absolute centre offsets and a
+    hypot that never falls as its first argument grows, ``adx <= thr[k, j]``
+    is the cap ``hypot(dx, dy[j]) <= R_values[k]`` (twin: the full mesh).
+
+    The count of qualifying values is seeded by ``sqrt(R**2 - ady**2)`` for
+    every level and row at once.  Probes on either side of the seed close
+    almost every pair; a bad seed (NaN, overflowed or off by rounding) only
+    costs the ``log2(len(adx))`` halvings of its bracket that follow.
+    """
+    ux = np.sort(adx)
+    n = ux.size
+    R = np.asarray(R_values, dtype=np.float64)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        seed = np.searchsorted(ux, np.sqrt(np.maximum((R - ady) * (R + ady), 0.0)),
+                               "right")
+    i = np.minimum(np.maximum(seed - _PROBES, 0), n - 1)
+    inside = np.hypot(ux[i], ady) <= R
+    lo = np.where(inside, i + 1, 0).max(axis=0)     # the count lies in [lo, hi]
+    hi = np.where(inside, n, i).min(axis=0)
+    while (lo < hi).any():
+        live, i = lo < hi, (lo + hi) // 2
+        inside = np.hypot(ux[np.minimum(i, n - 1)], ady) <= R
+        lo = np.where(live & inside, i + 1, lo)
+        hi = np.where(live & ~inside, i, hi)
+    return np.append(-np.inf, ux)[lo]
+
+
+def _outer_radii(masks: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The largest |cell centre| of each mask in a stack shaped
+    ``(..., nrows, ncols)``, bit-equal to ``hypot`` on the full centre mesh
+    (twin: ``oracles.center_abs_reference``); -inf for an empty mask.  The
+    centre axis is sorted and ``hypot(|x|, |y|)`` never falls as |x| grows,
+    so each row's largest sits at its first or last member cell: one hypot
+    per row, and no field."""
+    xs, ys = grid.center_axes()
+    ax = np.abs(xs)
+    first = masks.argmax(axis=-1)
+    last = masks[..., ::-1].argmax(axis=-1)         # counted from the right
+    rad = np.hypot(np.maximum(ax[first], ax[::-1][last]), np.abs(ys))
+    rad[(first == 0) & ~masks[..., 0]] = -np.inf   # rows with no member
+    return rad.max(axis=-1)
 
 
 def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:
@@ -202,7 +238,7 @@ def _extent(hs: HoleSet, region: RegionModel, level: int = -1) -> ExtentRecord:
     max_abs, min_bd = 0.0, math.inf
     if hs.count:
         bits = hs.union.bits
-        max_abs = float(region.grid.center_abs()[bits].max())
+        max_abs = float(_outer_radii(bits, region.grid))
         min_bd = float(region.boundary_distance()[bits].min())
     return ExtentRecord(level, hs.count, hs.union.count() * region.grid.delta ** 2,
                         max_abs, min_bd, len(hs.ambiguous_labels))

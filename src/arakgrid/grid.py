@@ -78,17 +78,6 @@ class GridSpec:
         return np.broadcast_to(xs, (self.nrows, self.ncols)), \
             np.broadcast_to(ys[:, None], (self.nrows, self.ncols))
 
-    def center_abs(self) -> np.ndarray:
-        """``|cell center|`` (distance from the origin) per cell, bit-equal to
-        ``np.hypot(*center_mesh())``.  Computed on the first call and cached
-        on this grid, so it lives as long as the grid does; the array is
-        read-only."""
-        if "_center_abs" not in self.__dict__:
-            field = radial_field(*self.center_axes())
-            field.flags.writeable = False
-            object.__setattr__(self, "_center_abs", field)    # frozen dataclass
-        return self.__dict__["_center_abs"]
-
     @property
     def window_center(self) -> tuple[float, float]:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
@@ -102,17 +91,6 @@ class GridSpec:
 
     def key(self) -> tuple:
         return (self.xmin, self.ymin, self.xmax, self.ymax, self.delta)
-
-
-def radial_field(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``np.hypot(dx, dy[:, None])`` bit for bit, from one hypot per distinct
-    pair of absolute offsets, gathered.  C Annex F (F.10.4.3) makes
-    ``hypot(x, y)``, ``hypot(y, x)`` and ``hypot(x, -y)`` equivalent, so a
-    sign never changes a result."""
-    ax, ay = np.abs(dx), np.abs(dy)
-    ux, uy = np.unique(ax), np.unique(ay)
-    return np.hypot(ux, uy[:, None]).take(np.searchsorted(uy, ay), axis=0) \
-        .take(np.searchsorted(ux, ax), axis=1)
 
 
 def make_grid(xmin: float, ymin: float, xmax: float, ymax: float,

@@ -242,14 +242,27 @@ def label_components(domain: CellSet) -> ComponentLabeling:
     if not domain.bits.any():       # nothing to label: every label is -1
         return ComponentLabeling(np.full(domain.bits.shape, -1, np.int32), 0)
     labels, n = ndimage.label(domain.bits, structure=FOUR)
-    # scipy's order is first-seen row-major, undocumented: check it at run heads
-    flat = labels.ravel()
-    heads = np.append(flat[0], flat[1:][flat[1:] != flat[:-1]])
-    if heads[0] > 1 or np.diff(np.maximum.accumulate(heads)).max(initial=0) > 1:
-        first = np.unique(flat, return_index=True)[1][-n:]   # labels 1..n
+    if not _first_seen_order(domain.bits, labels):
+        first = np.unique(labels, return_index=True)[1][-n:]    # labels 1..n
         labels = np.append(0, np.argsort(np.argsort(first)) + 1).astype(np.int32)[labels]
     labels -= 1
     return ComponentLabeling(labels, n)
+
+
+def _first_seen_order(bits: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether the labels 1 ... n of ``bits``' 4-connected components
+    follow their first cells in row-major order: scipy's order, which it
+    does not document.  Every component's first cell has no domain cell
+    above it or to its left, so the labels are read at those cells alone
+    (twin: ``oracles.run_head_order``)."""
+    flat = bits.ravel()
+    heads = flat.copy()         # no domain cell to the left, along whole rows
+    np.greater(flat[1:], flat[:-1], out=heads[1:])
+    heads = heads.reshape(bits.shape)
+    heads[:, 0] = bits[:, 0]    # where column 0 read the row above's last cell
+    heads[1:] &= ~bits[:-1]
+    seen = np.maximum.accumulate(labels[heads])
+    return bool(seen[0] == 1 and np.diff(seen).max(initial=0) <= 1)
 
 
 @dataclass(eq=False)
@@ -288,12 +301,13 @@ def holes(F: CellSet, region: RegionModel) -> HoleSet:
     with read-only arrays.  So the check, escape routing and later calls on a
     ``plane_region`` share each labeling.  An empty region - F (F fills the
     region) has one hole set per region, kept apart; its labeling runs no scan."""
-    if not F.issubset(region.omega):
-        raise PreconditionError("carrier set must lie inside the region")
     key = np.packbits(F.bits).tobytes()
     kept = region._hole_sets
-    if key in kept:
+    if key in kept:                 # its cells passed the subset test below
+        F._check(region.omega)
         return kept[key]
+    if not F.issubset(region.omega):
+        raise PreconditionError("carrier set must lie inside the region")
     domain = region.omega - F
     if region._no_domain is not None and domain.is_empty():
         return region._no_domain

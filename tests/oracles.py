@@ -43,6 +43,16 @@ def flood_components(bits: np.ndarray, connectivity: int) -> np.ndarray:
     return labels
 
 
+def run_head_order(labels: np.ndarray) -> bool:
+    """Whether scipy-style labels (0 outside, 1 ... n inside) are numbered
+    by their components' first cells in row-major order, read at the head
+    of every run of equal labels in the flattened array: the twin of
+    ``topology._first_seen_order``."""
+    flat = labels.ravel()
+    heads = np.append(flat[0], flat[1:][flat[1:] != flat[:-1]])
+    return not (heads[0] > 1 or np.diff(np.maximum.accumulate(heads)).max(initial=0) > 1)
+
+
 def naive_reach(labels: np.ndarray, n: int, omega: np.ndarray,
                 alpha_border: np.ndarray) -> list[str]:
     """Per-component alpha classification by direct scanning."""
@@ -123,6 +133,11 @@ def brute_distances(source: np.ndarray, delta: float) -> np.ndarray:
         d2 = (jj - cj).astype(np.int64) ** 2 + (ii - ci).astype(np.int64) ** 2
         np.minimum(best, d2, out=best)
     return np.sqrt(best.astype(np.float64)) * delta
+
+
+def center_abs_reference(g) -> np.ndarray:
+    """|cell centre| of every cell, from ``np.hypot`` on the full mesh."""
+    return np.hypot(*g.center_mesh())
 
 
 def interior_reference(region, r: float) -> np.ndarray:

@@ -12,11 +12,13 @@ from arakgrid import (ArakGridError, CellSet, PreconditionError, Primitive,
                       hole_union_extent, holes, make_grid, open_disk_region,
                       open_rect_region, plane_region, rasterize_closed)
 from arakgrid.arakelian import (EVIDENCE_DIVERGENT, INCONCLUSIVE, REFUTED,
-                                VERIFIED_UP_TO)
+                                VERIFIED_UP_TO, _extent, _outer_radii,
+                                _row_thresholds)
 from arakgrid.scene import parse_scene
 from arakgrid.topology import custom_region
 
-from oracles import naive_alpha_neighborhood, naive_dilate, naive_holes
+from oracles import (center_abs_reference, naive_alpha_neighborhood,
+                     naive_dilate, naive_holes)
 
 rng = np.random.default_rng(424242)
 
@@ -176,7 +178,7 @@ class TestBuildExhaustion:
                 assert np.array_equal(kept[k].bits if k in kept else
                                       np.zeros_like(want), want)
             # outer radii: the largest |cell centre| of each level
-            outer = [np.hypot(X, Y)[K.bits].max() for K in got.levels]
+            outer = [center_abs_reference(region.grid)[K.bits].max() for K in got.levels]
             want = [outer[min(k + 1, len(outer) - 1)] + region.grid.delta / 2
                     for k in range(len(outer))]
             assert np.array(got.declared_bounds).view(np.int64).tolist() == \
@@ -210,6 +212,88 @@ class TestBuildExhaustion:
             assert not naive_holes(omega, a, alpha).any()
             assert not (naive_dilate(prev, 8) & ~a).any()
             prev = a
+
+
+@st.composite
+def _windows(draw):
+    """Windows of 1 ... 40 cells a side (odd and even, 1 x N and N x 1), at
+    unit scale or with coordinates near make_grid's 3.3e153 limit, centred
+    on the origin or off it."""
+    ncols, nrows = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    d = draw(st.floats(0.1, 1)) * draw(st.sampled_from([1.0, 2.0 ** -40, 1e151]))
+    fx, fy = (draw(st.one_of(st.just(-0.5), st.floats(-3, 3))) for _ in "xy")
+    x0, y0 = fx * ncols * d, fy * nrows * d
+    return make_grid(x0, y0, x0 + ncols * d, y0 + nrows * d, d)
+
+
+def _bits(a) -> list:
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestRowEndRadii:
+    """Outer radii, hole-union extents and cap masks read from row ends and
+    row thresholds, against ``hypot`` on the full mesh, bit for bit.  Both
+    readings rest on hypot never falling as |x| grows along a row: each
+    test checks that on its own sampled offsets rather than assuming it."""
+
+    @staticmethod
+    def _rows_never_fall(ax, full):
+        order = np.argsort(ax, kind="stable")
+        assert (np.diff(full[:, order], axis=1) >= 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_windows(), st.integers(1, 3), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_outer_radii_match_the_full_mesh(self, g, nmasks, p, seed):
+        gen = np.random.default_rng(seed)
+        masks = gen.random((nmasks, g.nrows, g.ncols)) < p
+        masks[:, gen.random(g.nrows) < 0.3] = False         # empty rows
+        full = center_abs_reference(g)
+        self._rows_never_fall(np.abs(g.center_axes()[0]), full)
+        want = [full[m].max() if m.any() else -np.inf for m in masks]
+        assert _bits(_outer_radii(masks, g)) == _bits(want)
+        assert _bits(_outer_radii(masks[0], g)) == _bits(want[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_windows(), st.floats(0.3, 0.8), st.integers(0, 2**32 - 1))
+    def test_extent_max_abs_matches_the_full_mesh(self, g, p, seed):
+        gen = np.random.default_rng(seed)
+        region = plane_region(g)
+        hs = holes(CellSet(g, gen.random((g.nrows, g.ncols)) < p), region)
+        want = center_abs_reference(g)[hs.union.bits].max() if hs.count else 0.0
+        assert _bits(_extent(hs, region).max_abs) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_windows(), st.integers(-3, 3), st.integers(-3, 3), st.data())
+    def test_cap_masks_match_the_full_mesh(self, g, si, sj, data):
+        # centred on the window or some cells off it (a larger window's
+        # centre); radii from none of the cells to all of them, and radii
+        # that some cell's hypot equals exactly
+        cx, cy = g.window_center
+        dx, dy = g.center_axes()[0] - (cx + si * g.delta), g.center_axes()[1] - (cy + sj * g.delta)
+        full = np.hypot(dx, dy[:, None])
+        self._rows_never_fall(np.abs(dx), full)
+        radii = data.draw(st.lists(st.one_of(
+            st.floats(0, 1.2).map(lambda f: f * g.half_diagonal),
+            st.sampled_from(full.ravel().tolist()),
+            st.sampled_from([0.0, math.inf])), min_size=1, max_size=4))
+        thr = _row_thresholds(np.abs(dx), np.abs(dy), radii)
+        assert thr.shape == (len(radii), g.nrows)
+        for R, t in zip(radii, thr):
+            assert np.array_equal(np.abs(dx) <= t[:, None], full <= R)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, 1e308, -1.0, 0.0])
+    def test_a_bad_seed_bisects(self, monkeypatch, R):
+        # NaN and overflowed seeds sit at the last column: the correction
+        # halves its bracket rather than walking back column by column
+        ax = np.arange(4096) * 0.5
+        ay = np.arange(8) * 0.5
+        calls = []
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda *a: calls.append(1) or hypot(*a))
+        thr = _row_thresholds(ax, ay, [R])
+        assert len(calls) <= 2 + math.ceil(math.log2(ax.size + 1))
+        want = np.where(hypot(ax, ay[:, None]) <= R, ax, -np.inf).max(axis=1)
+        assert _bits(thr[0]) == _bits(want)
 
 
 class TestHoleUnionExtent:
@@ -252,7 +336,7 @@ class TestHoleUnionExtent:
         hs = holes(F | K, region)
         assert np.array_equal(hs.union.bits, want)
         assert rec.max_abs == pytest.approx(
-            float(g.center_abs()[want].max()), abs=0)
+            float(center_abs_reference(g)[want].max()), abs=0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20),

@@ -776,7 +776,7 @@ class TestGridLemma:
     @pytest.mark.xfail(strict=True, raises=CertificateError,
                        reason="the halves' V meet along the bisector, and "
                               "their union encloses cells that each half "
-                              "carved out; ROADMAP.md item 1")
+                              "carved out; ROADMAP.md item 2")
     def test_disjoint_single_cells_certify(self):
         # two VERIFIED single cells, two columns and two rows apart, U the
         # whole region

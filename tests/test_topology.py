@@ -18,7 +18,8 @@ from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
                                custom_region)
 
 from oracles import (flood_components, interior_reference, naive_dilate,
-                     naive_holes, naive_reach, naive_sphere_connected)
+                     naive_holes, naive_reach, naive_sphere_connected,
+                     run_head_order)
 
 rng = np.random.default_rng(20250810)
 
@@ -172,6 +173,23 @@ class TestLabelOrder:
         lab = label_components(CellSet(g, bits))
         assert lab.labels.dtype == np.int32
         assert np.array_equal(lab.labels, flood_components(bits, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_masks(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @example(_comb(1, 40, 2), None)
+    @example(_spiral(17, 19), 1)
+    def test_head_check_is_the_run_head_twin(self, bits, seed):
+        # scipy's labels, or a random permutation of them: the check at
+        # component heads agrees with the check at every run head, and both
+        # accept exactly the flood fill's first-seen order
+        assume(bits.any())
+        raw, n = topology.ndimage.label(bits, structure=topology.FOUR)
+        perm = np.arange(1, n + 1) if seed is None else \
+            np.random.default_rng(seed).permutation(n) + 1
+        labels = np.append(0, perm).astype(raw.dtype)[raw]
+        ordered = np.array_equal(labels - 1, flood_components(bits, 4))
+        assert topology._first_seen_order(bits, labels) == ordered
+        assert run_head_order(labels) == ordered
 
     @pytest.mark.parametrize("permute", ["reverse", "rotate", "random"])
     @pytest.mark.parametrize("conn", [4])

@@ -1,7 +1,6 @@
 """Work counts per CLI command: component labelings, region models,
 exhaustions, sphere-complement tests, boundary distance fields, exact
-distance (feature) transforms, |cell center| fields, ``np.hypot``
-evaluations, curve fixture expansions, escape routing's BFS layers and the
+distance (feature) transforms, ``np.hypot`` evaluations, curve fixture expansions, escape routing's BFS layers and the
 log lift's scalar ``math.log`` / ``math.atan2`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
@@ -19,9 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from arakgrid import (Primitive, SampledFunction, arakelian, builder, grid,
-                      loglift, make_grid, open_disk_region, plane_region,
-                      rasterize_closed, tietze_extend, topology)
+from arakgrid import (InputError, Primitive, SampledFunction, arakelian,
+                      builder, grid, loglift, make_grid, open_disk_region,
+                      plane_region, rasterize_closed, tietze_extend, topology)
 from arakgrid.cli import run_cli
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -55,8 +54,6 @@ def install_counters(monkeypatch) -> Counter:
                         counting("boundary_fields", topology.distance_field))
     monkeypatch.setattr(grid.ndimage, "distance_transform_edt",
                         counting("edts", grid.ndimage.distance_transform_edt))
-    monkeypatch.setattr(grid.GridSpec, "center_abs",
-                        counting("center_abs", grid.GridSpec.center_abs))
     monkeypatch.setattr(grid, "staircase_parts",
                         counting("staircases", grid.staircase_parts))
     monkeypatch.setattr(grid, "bracket_parts",
@@ -229,67 +226,77 @@ class TestFilledRegionHoleSet:
         assert topology.holes(region.omega - region.omega, region) is other
 
 
+class TestKeptHoleSetLookup:
+    """``holes`` looks a kept hole set up by its carrier's cells before any
+    whole-window pass: a hit runs no subset test, though a carrier on
+    another grid still raises, and a miss runs one."""
+
+    def test_hit_runs_no_subset_test(self, monkeypatch):
+        g = make_grid(-1, -1, 1, 1, 0.125)
+        region = plane_region(g)
+        F = rasterize_closed([Primitive.circle((0, 0), 0.5)], g)
+        hs = topology.holes(F, region)
+        calls = []
+        issubset = grid.CellSet.issubset
+        monkeypatch.setattr(grid.CellSet, "issubset",
+                            lambda *a: calls.append(1) or issubset(*a))
+        assert topology.holes(grid.CellSet(g, F.bits.copy()), region) is hs
+        assert calls == []
+        shifted = make_grid(0, 0, 2, 2, 0.125)        # same shape, same bits
+        with pytest.raises(InputError, match="different grids"):
+            topology.holes(grid.CellSet(shifted, F.bits.copy()), region)
+        topology.holes(F - rasterize_closed([Primitive.point((0.5, 0))], g), region)
+        assert calls == [1]
+
+
 class TestHoleExtentsWhereRead:
     """A hole union's |cell center| extent is derived only by the callers
     that report it, not by every hole set."""
 
-    @pytest.mark.parametrize("argv, code, fields, hypots", [
-        # the exhaustion's radial cap (centred on the origin) and outer radii
-        # read one field, built from the 64 x 64 distinct |offset| pairs of
-        # a 128 x 128 window; the blocked build's disk cover draws two 3 x 3
-        # disk boxes; the refutation's holes are not measured
-        (["refute", "nested_rings.scene"], 1, 2, 64 * 64 + 2 * 9),
-        (["render", "segment.scene", "--layers", "F,holes"], 0, 0, 0),
-        (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0, 0),
+    @pytest.mark.parametrize("argv, code, hypots", [
+        # the exhaustion's cap probes hypot twice per level and row (3 x 2
+        # x 128 on a 128 x 128 window) and its outer radii once per row of
+        # the two levels its bounds read (2 x 128); the blocked build's disk
+        # cover draws two 3 x 3 disk boxes; the refutation's holes are not
+        # measured
+        (["refute", "nested_rings.scene"], 1, 3 * 2 * 128 + 2 * 128 + 2 * 9),
+        (["render", "segment.scene", "--layers", "F,holes"], 0, 0),
+        (["render", "nested_rings.scene", "--layers", "F,holes"], 0, 0),
     ], ids=["refute", "render-segment", "render-rings"])
-    def test_center_abs_fields(self, monkeypatch, tmp_path, argv, code, fields,
-                               hypots):
+    def test_center_abs_fields(self, monkeypatch, tmp_path, argv, code, hypots):
         out = ["-o", str(tmp_path / "out.svg")] if argv[0] == "render" else []
         got, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:], *out])
         assert got == code
-        assert n["center_abs"] == fields
         assert n["hypot"] == hypots
 
 
-class TestCenterAbsPerGrid:
-    """``GridSpec.center_abs`` builds its field once per grid, from one hypot
-    per distinct pair of absolute centre offsets, and hands out the same
-    read-only array after that."""
+class TestCenterRadiiPerRow:
+    """The check builds no |cell centre| field: radii are read from row
+    ends and rows are capped at one |dx| threshold per level.  A field per
+    grid took one hypot per distinct pair of absolute centre offsets: 96 x
+    256, 96 x 512 and 96 x 1024 on these windows."""
 
-    def test_one_field_per_grid(self, monkeypatch):
-        fields = []         # every array returned, kept alive so ids stay unique
-        center_abs = grid.GridSpec.center_abs
+    def test_hypots_per_window(self, monkeypatch):
         n = install_counters(monkeypatch)
-        built = []          # hypot evaluations of each first call on a grid
+        built = []          # hypot evaluations of each window's exhaustion
+        build = arakelian.build_exhaustion
 
-        def recording(self):
+        def recording(*args, **kwargs):
             before = n["hypot"]
-            fields.append(center_abs(self))
-            if n["hypot"] > before:
-                built.append(n["hypot"] - before)
-            return fields[-1]
+            exh = build(*args, **kwargs)
+            built.append(n["hypot"] - before)
+            return exh
 
-        monkeypatch.setattr(grid.GridSpec, "center_abs", recording)
+        monkeypatch.setattr(arakelian, "build_exhaustion", recording)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = run_cli(["check", scene("intro_staircase.scene"),
                             "--windows", "8,16,32"])
         assert code == 2
         assert n["regions"] == 3
-        # distinct arrays are hypot builds: one per window's grid.  Columns
-        # span [-3, 3] (96 distinct |x|) and rows [-3, ymax] (ymax * 32
-        # distinct |y|): the full mesh would be 67,584 + 116,736 + 215,040
-        assert len({id(f) for f in fields}) == 3
-        assert built == [96 * 256, 96 * 512, 96 * 1024]
-        assert len(fields) > 3
-
-    def test_field_is_cached_and_read_only(self):
-        g = make_grid(-1, -1, 1, 1, 0.25)
-        field = g.center_abs()
-        assert g.center_abs() is field
-        assert make_grid(-1, -1, 1, 1, 0.25).center_abs() is not field
-        with pytest.raises(ValueError):
-            field[0, 0] = 0.0
+        # rows span [-3, ymax] at delta 1/32: two cap probes for each of 3
+        # levels and one outer radius for each of the 2 levels read, a row
+        assert built == [8 * 352, 8 * 608, 8 * 1120]
 
 
 class TestWindowsCheckWork:
@@ -297,9 +304,9 @@ class TestWindowsCheckWork:
     expanded once, because every window of a schedule shares the column
     layout that its parts depend on (6 staircase expansions and 162
     ``bracket_parts`` calls before: one for the raster and one for the ray
-    exits, per window).  Radial fields run hypot once per distinct |offset|
-    pair, and the cap only inside its box (798,720 evaluations before: a
-    full cap field and a full |cell centre| field per window)."""
+    exits, per window).  Radii take one hypot per row (798,720 evaluations
+    with a full cap field and a full |cell centre| field per window, and
+    227,328 with one hypot per distinct |offset| pair)."""
 
     @pytest.mark.parametrize("name, staircases, brackets", [
         ("intro_staircase.scene", 1, 0),
@@ -313,9 +320,9 @@ class TestWindowsCheckWork:
         assert n["labelings"] == 11
         assert n["staircases"] == staircases
         assert n["brackets"] == brackets
-        # 172,032 for the three |cell centre| fields, the rest for the caps
-        # around (0, 2.5) with R = 6.26 (rows up to y = 8.76)
-        assert n["hypot"] <= 250_000
+        # 8 a row in the three exhaustions (2,080 rows) and one a row for
+        # each hole union measured: 2 on the base window, 3 on the others
+        assert n["hypot"] == 8 * 2080 + 2 * 352 + 3 * (608 + 1120)
 
 
 class TestEdtsPerConstruction:
