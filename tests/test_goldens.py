@@ -1,5 +1,6 @@
 """Stored goldens: the ``--json`` report of every criterion-7 job and the
-four criterion-7 renders, compared byte for byte.
+four criterion-7 renders, plus the construction on a bounded region,
+compared byte for byte.
 
 A changed output is a deliberate golden update: regenerate with
 ``PYTHONPATH=src python tests/test_goldens.py`` and log it in CHANGES.md.
@@ -32,6 +33,10 @@ JOBS = [
     ("loglift_loglift_line.json", ["loglift", "loglift_line.scene"]),
     ("holes_intro_staircase_with_k.json",
      ["holes", "intro_staircase.scene", "--set", "F", "--with-k", "disk:0,0,2"]),
+    # a bounded region: alpha-adjacency's inner-complement term, the frame
+    # gaps of undeclared edges and the box scan behind disk radii
+    ("build_v_disk_obstacles.json", ["build-v", "disk_obstacles.scene"]),
+    ("check_disk_obstacles.json", ["check", "disk_obstacles.scene"]),
 ]
 
 # (golden file name, scene, layers, format)
@@ -40,6 +45,8 @@ RENDERS = [
     ("render_intro_staircase_holes.svg", "intro_staircase.scene", "F,holes", "svg"),
     ("render_nested_rings_holes.svg", "nested_rings.scene", "F,holes", "svg"),
     ("render_segment_fv.ppm", "segment.scene", "F,V", "ppm"),
+    ("render_disk_obstacles_all.svg", "disk_obstacles.scene",
+     "F,U,V,disks,curves", "svg"),
 ]
 
 
