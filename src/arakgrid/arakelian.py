@@ -73,23 +73,20 @@ class Exhaustion:
 
     def validate(self, region: RegionModel):
         """Re-check the construction invariants; raises on violation."""
-        grid = region.grid
         for k, K in enumerate(self.levels):
             if holes(K, region).count:
                 raise ArakGridError(f"exhaustion level {self.level_ids[k]} has holes")
             if not K.issubset(region.omega):
                 raise ArakGridError("exhaustion level leaves the region")
             if k + 1 < len(self.levels):
-                grown = dilate(K.bits, 8)
+                grown = dilate(K.bits, 3)
                 if (grown & ~self.levels[k + 1].bits).any():
                     raise ArakGridError(
                         f"level {self.level_ids[k]} not interior to the next")
-        union = np.zeros((grid.nrows, grid.ncols), dtype=bool)
-        for K in self.levels:
-            union |= K.bits
-        # cells closer to the (possibly window-frame) boundary than the
-        # finest threshold are boundary artifacts no level can own
-        if (region.interior(min(self.r_values)) & ~union).any():
+        # the levels nest, so the last is their union; cells closer to the
+        # (possibly window-frame) boundary than the finest threshold are
+        # boundary artifacts no level can own
+        if (region.interior(min(self.r_values)) & ~self.levels[-1].bits).any():
             raise ArakGridError("exhaustion does not cover the region")
 
 
@@ -223,12 +220,17 @@ def _outer_radii(masks: np.ndarray, grid: GridSpec) -> np.ndarray:
     (twin: ``oracles.center_abs_reference``); -inf for an empty mask.  The
     centre axis is sorted and ``hypot(|x|, |y|)`` never falls as |x| grows,
     so each row's largest sits at its first or last member cell: one hypot
-    per row, and no field."""
+    per row, and no field.  Each row's last member is the top bit of its last
+    nonzero byte packed little-endian (column 8b + k is bit k of byte b),
+    frexp's exponent being a byte's bit length: no reversed copy."""
     xs, ys = grid.center_axes()
     ax = np.abs(xs)
     first = masks.argmax(axis=-1)
-    last = masks[..., ::-1].argmax(axis=-1)         # counted from the right
-    rad = np.hypot(np.maximum(ax[first], ax[::-1][last]), np.abs(ys))
+    rows = np.packbits(masks, axis=-1, bitorder="little").reshape(first.size, -1)
+    byte = rows.shape[1] - 1 - (rows != 0)[:, ::-1].argmax(axis=1)
+    top = rows[np.arange(byte.size), byte].astype(np.float32)   # not uint8's float16 loop
+    last = (8 * byte + np.frexp(top)[1] - 1).reshape(first.shape)
+    rad = np.hypot(np.maximum(ax[first], ax[last]), np.abs(ys))
     rad[(first == 0) & ~masks[..., 0]] = -np.inf   # rows with no member
     return rad.max(axis=-1)
 

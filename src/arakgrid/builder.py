@@ -13,16 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arakelian import Exhaustion, build_exhaustion, holes
+from .arakelian import Exhaustion, build_exhaustion
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, disk_cells, distance_field
-from .topology import (REACHES_ALPHA, WINDOW_AMBIGUOUS, ComplementReport,
+from .topology import (REACHES_ALPHA, STEPS, WINDOW_AMBIGUOUS, ComplementReport,
                        RegionModel, compactified_complement_connected, dilate,
-                       sphere_complement_connected)
-
-# routing preference: east, north, west, south
-_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+                       holes, sphere_complement_connected)
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ class _Wave:
         seeds[1:-1, 1:-1] = targets & domain
         free = np.zeros_like(seeds)                       # in domain, unvisited
         free[1:-1, 1:-1] = domain & ~targets
-        self.frontier = np.flatnonzero(seeds & dilate(free, 4))
+        self.frontier = np.flatnonzero(seeds & dilate(free, 2))
         self.free = free.ravel()
         self.dist = np.subtract(seeds.ravel(), 1, dtype=np.int32)
         self.depth = 0                                    # the frontier's distance
@@ -211,7 +208,7 @@ class _Wave:
         at = (cell[1] + 1) * self.width + cell[0] + 1
         while self.frontier.size and self.dist[at] < 0:
             layer = []
-            for di, dj in _STEPS:
+            for di, dj in STEPS:
                 nbrs = self.frontier + (di + dj * self.width)
                 layer.append(nbrs[self.free[nbrs]])
                 self.free[layer[-1]] = False
@@ -237,7 +234,7 @@ def _walk_down(start: tuple[int, int],
     d = int(dist[j, i])
     nrows, ncols = dist.shape
     while d > 0:
-        for di, dj in _STEPS:
+        for di, dj in STEPS:
             ni, nj = i + di, j + dj
             if 0 <= ni < ncols and 0 <= nj < nrows and dist[nj, ni] == d - 1:
                 i, j = ni, nj

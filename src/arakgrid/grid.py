@@ -360,7 +360,7 @@ def _segments_into(grid, segments, out):
         out[j0:j1, i0:i1] |= (tmin[cols] <= tmax[rows, None]) & (tmin[rows, None] <= tmax[cols])
 
 
-def _near(grid, center, i0, i1, j0, j1):
+def _box_gap(grid, center, i0, i1, j0, j1):
     """Distance from the centre to the nearest point of each cell box."""
     x0, x1, y0, y1 = _box_arrays(grid, i0, i1, j0, j1)
     cx, cy = center
@@ -382,7 +382,7 @@ def disk_cells(grid, center, r):
     eps = INCLUSION_SLACK
     cx, cy = center
     box = _cell_ranges(grid, cx - r - eps, cy - r - eps, cx + r + eps, cy + r + eps)
-    return box, _near(grid, center, *box) <= r + eps
+    return box, _box_gap(grid, center, *box) <= r + eps
 
 
 def _circle_into(grid, center, r, out, filled):
@@ -563,7 +563,7 @@ def rasterize_open_disk(grid: GridSpec, cx: float, cy: float, r: float) -> CellS
     out = np.zeros((grid.nrows, grid.ncols), dtype=bool)
     i0, i1, j0, j1 = _cell_ranges(grid, cx - r, cy - r, cx + r, cy + r)
     if i0 < i1 and j0 < j1:
-        out[j0:j1, i0:i1] = _near(grid, (cx, cy), i0, i1, j0, j1) < r
+        out[j0:j1, i0:i1] = _box_gap(grid, (cx, cy), i0, i1, j0, j1) < r
     return CellSet(grid, out)
 
 

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import _STEPS, NeighborhoodResult, build_v
+from .builder import NeighborhoodResult, build_v
 from .errors import (LiftVerificationError, NotSimplyConnectedError,
                      PreconditionError, ResolutionError)
 from .grid import CellSet, nearest_source_indices
-from .topology import RegionModel, label_components
+from .topology import STEPS, RegionModel, label_components
 
 
 @dataclass(eq=False)
@@ -81,7 +81,7 @@ def _bfs_tree(domain: np.ndarray, seeds: np.ndarray):
     and of its parent (-1 for a seed); layer k is ``cells[bounds[k]:
     bounds[k + 1]]``.  The seeds come first, then per layer each cell with
     the first queued cell of the previous layer that reaches it along
-    ``_STEPS``.  The unwrap's bit-for-bit sums rest on this rule.  Both
+    ``STEPS``.  The unwrap's bit-for-bit sums rest on this rule.  Both
     arrays are filled layer by layer in padded indices and unpadded once.
     O(cells)."""
     width = domain.shape[1] + 2
@@ -92,7 +92,7 @@ def _bfs_tree(domain: np.ndarray, seeds: np.ndarray):
     frontier = np.flatnonzero(np.pad(seeds & domain, 1))
     n_seeds = frontier.size
     parents[:n_seeds] = -1
-    steps = np.array([di + dj * width for di, dj in _STEPS])
+    steps = np.array([di + dj * width for di, dj in STEPS])
     bounds = [0]
     while frontier.size:
         lo, hi = bounds[-1], bounds[-1] + frontier.size

@@ -41,10 +41,9 @@ from .errors import InputError, SceneParseError
 from .grid import (CellSet, GridSpec, Primitive, bracket_capacity, expand,
                    make_grid, rasterize_closed, rasterize_open_disk,
                    rasterize_open_rect, ray_exit_cells)
-from .topology import _EDGES, RegionModel, custom_region
+from .topology import EDGES, RegionModel, custom_region
 
-_CANON_EDGES = tuple(_EDGES)
-_EDGE_NAMES = (*_CANON_EDGES, "all")
+_EDGE_NAMES = (*EDGES, "all")
 
 # Numbers per shape (see the module docstring).  A polyline takes any even
 # count of at least 4; a bracket takes one integer.
@@ -333,7 +332,7 @@ def print_scene(scene: Scene) -> str:
     """Canonical text for a scene; parsing it back reproduces the scene."""
     g = scene.grid
     edges = ("all",) if "all" in scene.unbounded else \
-        [e for e in _CANON_EDGES if e in scene.unbounded]
+        [e for e in EDGES if e in scene.unbounded]
     lines = [_words("grid", g.xmin, g.ymin, g.xmax, g.ymax, g.delta),
              _words(f"omega {scene.omega_decl[0]}", *scene.omega_decl[1:]),
              *(f"unbounded {e}" for e in edges)]

@@ -31,22 +31,33 @@ ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS = 0, 1, 2
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# the package's one (di, dj) step order, east, north, west, south: BFS claims, walks
+STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 # window edges as cell slices; a scene's "all" declares the four of them
-_EDGES = {"N": np.s_[-1, :], "S": np.s_[0, :], "E": np.s_[:, -1], "W": np.s_[:, 0]}
+EDGES = {"N": np.s_[-1, :], "S": np.s_[0, :], "E": np.s_[:, -1], "W": np.s_[:, 0]}
 
 
-def dilate(bits: np.ndarray, connectivity: int) -> np.ndarray:
-    """The set cells of ``bits`` and their 4- or 8-neighbours, clipped to the
-    array (twin: ``oracles.naive_dilate``).  Column neighbours are ORed in
-    first; the row neighbours then read the original bits for 4-connectivity
-    and the widened ones for 8."""
-    out = bits.copy()
-    out[:, 1:] |= bits[:, :-1]
-    out[:, :-1] |= bits[:, 1:]
-    rows = bits if connectivity == 4 else out.copy()
-    out[1:] |= rows[:-1]
-    out[:-1] |= rows[1:]
-    return out
+def dilate(bits: np.ndarray, t: int) -> np.ndarray:
+    """The cells with a set cell of ``bits`` at a squared offset below t >= 1,
+    clipped to the array (twin: ``oracles.offset_disk_reference``); t = 2 and
+    3 are the 4- and 8-neighbourhoods.  Per disk row a: ``bits`` ORed along
+    rows out to half-width isqrt(t - 1 - a*a), then shifted a rows."""
+    nrows, ncols = bits.shape
+    wide, w = bits.copy(), 0
+    near = wide if t <= 2 else np.zeros(bits.shape, dtype=bool)   # t <= 2 widens no band
+    for a in range(min(math.isqrt(t - 1), nrows - 1), -1, -1):   # widest last
+        half = min(math.isqrt(t - 1 - a * a), ncols - 1)
+        while w < half:
+            w += 1
+            wide[:, w:] |= bits[:, :-w]
+            wide[:, :-w] |= bits[:, w:]
+        if a:
+            band = wide if w else bits          # equal cells; no overlap copy when near is wide
+            near[a:] |= band[:nrows - a]
+            near[:-a] |= band[a:]
+    wide |= near                # row offset 0 is ``wide`` itself (a no-op at t <= 2)
+    return wide
 
 
 @dataclass(eq=False)
@@ -78,14 +89,14 @@ class RegionModel:
             raise InputError("region has no cells")
         border = np.zeros((self.grid.nrows, self.grid.ncols), dtype=bool)
         alpha = np.zeros_like(border)
-        for edge, cells in _EDGES.items():
+        for edge, cells in EDGES.items():
             border[cells] = True
             if edge in self.declared_edges:    # never clear: corners are shared
                 alpha[cells] = True
         if exits is not None:
             alpha |= exits & border
         self.alpha_border = alpha
-        inner_complement = dilate(~self.omega.bits, 4)
+        inner_complement = dilate(~self.omega.bits, 2)
         self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
         self.ambiguous_contact = self.omega.bits & border & ~alpha
 
@@ -98,7 +109,7 @@ class RegionModel:
         xs, ys = g.center_axes()
         ys = ys[:, None]
         gaps = (g.ymax - ys, ys - g.ymin, g.xmax - xs, xs - g.xmin)   # N S E W
-        return [gap for edge, gap in zip(_EDGES, gaps)
+        return [gap for edge, gap in zip(EDGES, gaps)
                 if edge not in self.declared_edges]
 
     def boundary_distance(self) -> np.ndarray:
@@ -150,7 +161,7 @@ class RegionModel:
         float expression, which never falls as d2 grows; so, with t the least
         d2 it maps to r or more (a bisection up to one past the window's
         largest offset), a cell stays exactly when no complement cell lies at
-        a squared offset below t (``_near``).
+        a squared offset below t (``dilate``).
         """
         nrows, ncols = self.omega.bits.shape
         top = (nrows - 1) ** 2 + (ncols - 1) ** 2 + 1
@@ -161,27 +172,8 @@ class RegionModel:
         for gap in self._frame_gaps():
             out &= gap >= r
         if t and not self.omega.bits.all():
-            out &= ~_near(~self.omega.bits, t)
+            out &= ~dilate(~self.omega.bits, t)
         return out
-
-
-def _near(bits: np.ndarray, t: int) -> np.ndarray:
-    """The cells with a set cell of ``bits`` at a squared offset below t:
-    for each disk row a, ``bits`` ORed along their rows out to the half-width
-    isqrt(t - 1 - a*a), one dilation per half-width, then shifted a rows."""
-    nrows, ncols = bits.shape
-    near = np.zeros_like(bits)
-    wide, w = bits.copy(), 0
-    for a in range(min(math.isqrt(t - 1), nrows - 1), -1, -1):   # widest last
-        half = min(math.isqrt(t - 1 - a * a), ncols - 1)
-        while w < half:
-            w += 1
-            wide[:, w:] |= bits[:, :-w]
-            wide[:, :-w] |= bits[:, w:]
-        near[a:] |= wide[:nrows - a]
-        if a:
-            near[:-a] |= wide[a:]
-    return near
 
 
 def plane_region(grid: GridSpec) -> RegionModel:
@@ -191,7 +183,7 @@ def plane_region(grid: GridSpec) -> RegionModel:
     equal copy of the grid, so no cycle keeps it once the grid is freed."""
     if "_plane_region" not in grid.__dict__:
         own = replace(grid)
-        region = RegionModel(own, CellSet.full(own), frozenset(_EDGES),
+        region = RegionModel(own, CellSet.full(own), frozenset(EDGES),
                              simply_connected=True)
         for a in (region.omega.bits, region.alpha_border, region.alpha_adjacent,
                   region.ambiguous_contact):
@@ -219,9 +211,9 @@ def custom_region(grid: GridSpec, omega: CellSet, *, unbounded_edges=(),
     """The region continues past the ``unbounded_edges`` (N, S, E, W or
     "all") and past the border cells flagged in ``extra_unbounded``."""
     for e in unbounded_edges:
-        if e != "all" and e not in _EDGES:
+        if e != "all" and e not in EDGES:
             raise InputError(f"unknown window edge {e!r}")
-    edges = frozenset(_EDGES if "all" in unbounded_edges else unbounded_edges)
+    edges = frozenset(EDGES if "all" in unbounded_edges else unbounded_edges)
     return RegionModel(grid, omega, edges, extra_unbounded, simply_connected)
 
 

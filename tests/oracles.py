@@ -195,7 +195,8 @@ def disk_cover_reference(F, U, region):
 
 def naive_dilate(bits: np.ndarray, connectivity: int) -> np.ndarray:
     """Cell-by-cell dilation: a cell is set when it or one of its 4- (8-)
-    neighbours inside the array is set; the twin of ``topology.dilate``."""
+    neighbours inside the array is set; the twin of ``topology.dilate`` at
+    t = 2 (t = 3)."""
     nrows, ncols = bits.shape
     steps = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
     if connectivity == 8:
@@ -205,6 +206,20 @@ def naive_dilate(bits: np.ndarray, connectivity: int) -> np.ndarray:
         for i in range(ncols):
             out[j, i] = any(0 <= i + di < ncols and 0 <= j + dj < nrows and
                             bits[j + dj, i + di] for di, dj in steps)
+    return out
+
+
+def offset_disk_reference(bits: np.ndarray, t: int) -> np.ndarray:
+    """``bits`` ORed over every offset (a, b) with a*a + b*b < t, one whole
+    shifted copy per offset, cells shifted off the array dropped; the twin
+    of ``topology.dilate``."""
+    nrows, ncols = bits.shape
+    out = np.zeros_like(bits)
+    for a in range(1 - nrows, nrows):
+        for b in range(1 - ncols, ncols):
+            if a * a + b * b < t:
+                out[max(a, 0):nrows + min(a, 0), max(b, 0):ncols + min(b, 0)] |= \
+                    bits[max(-a, 0):nrows + min(-a, 0), max(-b, 0):ncols + min(-b, 0)]
     return out
 
 

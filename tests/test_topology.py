@@ -19,7 +19,7 @@ from arakgrid.topology import (ENCLOSED, REACHES_ALPHA, WINDOW_AMBIGUOUS,
 
 from oracles import (flood_components, interior_reference, naive_dilate,
                      naive_holes, naive_reach, naive_sphere_connected,
-                     run_head_order)
+                     offset_disk_reference, run_head_order)
 
 rng = np.random.default_rng(20250810)
 
@@ -228,44 +228,77 @@ class TestLabelOrder:
 
 
 class TestDilate:
-    """``topology.dilate`` against a cell-by-cell neighbour loop and
+    """``topology.dilate(bits, t)`` against ``oracles.offset_disk_reference``
+    for every t from 1 (the identity) to past the window's diagonal; t = 2
+    and t = 3 also against a cell-by-cell 4- and 8-neighbour loop and
     scipy's ``binary_dilation`` with the matching structure."""
 
-    @staticmethod
-    def _check(bits, connectivity):
-        before = bits.copy()
-        got = topology.dilate(bits, connectivity)
-        assert got.dtype == bool and got.shape == bits.shape
-        assert np.array_equal(got, naive_dilate(bits, connectivity))
-        structure = topology.ndimage.generate_binary_structure(2, connectivity // 4)
-        assert np.array_equal(got, topology.ndimage.binary_dilation(bits, structure))
-        assert np.array_equal(bits, before)         # input left alone
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([4, 8]),
-           st.sampled_from(["random", "set", "clear"]), st.data())
-    def test_matches_oracle(self, nrows, ncols, connectivity, fill, data):
-        if fill == "random":
-            p = data.draw(st.floats(0.0, 1.0))
-            seed = data.draw(st.integers(0, 2 ** 32 - 1))
-            bits = np.random.default_rng(seed).random((nrows, ncols)) < p
-        else:
-            bits = np.full((nrows, ncols), fill == "set")
-        self._check(bits, connectivity)
-
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    @pytest.mark.parametrize("bits", [
+    EDGE_CASES = [
         np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
         np.eye(1, 9, 4, dtype=bool), np.eye(9, 1, -4, dtype=bool),
         np.eye(1, 9, 0, dtype=bool), np.eye(9, 1, -8, dtype=bool),
         np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
         np.ones((6, 7), dtype=bool), np.zeros((6, 7), dtype=bool),
         np.eye(7, dtype=bool), np.eye(7, dtype=bool)[::-1],
-    ], ids=["1x1-set", "1x1-clear", "1xN-middle", "Nx1-middle", "1xN-end",
-            "Nx1-end", "1xN-set", "Nx1-set", "all-set", "all-clear",
-            "diagonal", "anti-diagonal"])
+    ]
+    EDGE_IDS = ["1x1-set", "1x1-clear", "1xN-middle", "Nx1-middle", "1xN-end",
+                "Nx1-end", "1xN-set", "Nx1-set", "all-set", "all-clear",
+                "diagonal", "anti-diagonal"]
+
+    @staticmethod
+    def _check(bits, t):
+        before = bits.copy()
+        got = topology.dilate(bits, t)
+        assert got.dtype == bool and got.shape == bits.shape
+        assert np.array_equal(got, offset_disk_reference(bits, t))
+        assert np.array_equal(bits, before)         # input left alone
+        return got
+
+    @classmethod
+    def _check_neighbours(cls, bits, connectivity):
+        got = cls._check(bits, {4: 2, 8: 3}[connectivity])
+        assert np.array_equal(got, naive_dilate(bits, connectivity))
+        structure = topology.ndimage.generate_binary_structure(2, connectivity // 4)
+        assert np.array_equal(got, topology.ndimage.binary_dilation(bits, structure))
+
+    @classmethod
+    def _check_every_threshold(cls, bits):
+        nrows, ncols = bits.shape
+        past = (nrows - 1) ** 2 + (ncols - 1) ** 2 + 3
+        assert np.array_equal(cls._check(bits, 1), bits)
+        for t in range(2, past):
+            cls._check(bits, t)
+        if bits.any():              # past the diagonal every cell is reached
+            assert cls._check(bits, past).all()
+
+    @staticmethod
+    def _draw_bits(nrows, ncols, fill, data):
+        if fill != "random":
+            return np.full((nrows, ncols), fill == "set")
+        p = data.draw(st.floats(0.0, 1.0))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        return np.random.default_rng(seed).random((nrows, ncols)) < p
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([4, 8]),
+           st.sampled_from(["random", "set", "clear"]), st.data())
+    def test_matches_oracle(self, nrows, ncols, connectivity, fill, data):
+        self._check_neighbours(self._draw_bits(nrows, ncols, fill, data), connectivity)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8),
+           st.sampled_from(["random", "set", "clear"]), st.data())
+    def test_every_threshold_matches_the_offset_disk(self, nrows, ncols, fill, data):
+        self._check_every_threshold(self._draw_bits(nrows, ncols, fill, data))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("bits", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_cases(self, bits, connectivity):
-        self._check(bits, connectivity)
+        self._check_neighbours(bits, connectivity)
+
+    @pytest.mark.parametrize("bits", EDGE_CASES, ids=EDGE_IDS)
+    def test_edge_cases_every_threshold(self, bits):
+        self._check_every_threshold(bits)
 
 
 class TestInterior:
