@@ -64,12 +64,15 @@ class Exhaustion:
     r_values: list[float]
     R_values: list[float] | None
     center: tuple[float, float]
-    capped: bool
     declared_bounds: list[float]
 
     @property
     def top_level(self) -> int:
         return self.level_ids[-1]
+
+    @property
+    def capped(self) -> bool:
+        return self.R_values is not None
 
     def validate(self, region: RegionModel):
         """Re-check the construction invariants; raises on violation."""
@@ -140,19 +143,18 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
     """
     grid = region.grid
     if like is not None:
-        nlevels, r_values, R_values, center, capped = (
-            len(like.r_values), like.r_values, like.R_values, like.center,
-            like.capped)
+        nlevels, r_values, R_values, center = (
+            len(like.r_values), like.r_values, like.R_values, like.center)
     else:
         r_values = level_thresholds(grid.delta, nlevels)
-        capped = bool(region.alpha_border.any())
         center = grid.window_center
         R_values = [max(k / nlevels * grid.half_diagonal, k * 1.5 * grid.delta)
-                    for k in range(1, nlevels + 1)] if capped else None
-    key = (nlevels, tuple(r_values), R_values and tuple(R_values), tuple(center), capped)
+                    for k in range(1, nlevels + 1)] if region.alpha_border.any() else None
+    key = (nlevels, tuple(r_values), R_values and tuple(R_values), tuple(center))
     if key in region._exhaustions:
         return region._exhaustions[key]
 
+    capped = R_values is not None
     if capped:
         xs, ys = grid.center_axes()
         adx = np.abs(xs - center[0])
@@ -176,8 +178,7 @@ def build_exhaustion(region: RegionModel, nlevels: int | None = None, *,
     outer = _outer_radii(np.stack([K.bits for K in levels[1:] or levels]), grid).tolist()
     bounds = [r + grid.delta / 2 for r in outer + outer[-1:]][:len(levels)]
     exh = region._exhaustions[key] = Exhaustion(
-        levels, ids, list(r_values), list(R_values) if capped else None,
-        tuple(center), capped, bounds)
+        levels, ids, list(r_values), R_values and list(R_values), tuple(center), bounds)
     return exh
 
 

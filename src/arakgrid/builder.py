@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arakelian import Exhaustion, build_exhaustion
+from .arakelian import build_exhaustion
 from .errors import (AmbiguousRegionError, BuildRefusalError, CertificateError,
                      NotSimplyConnectedError, PreconditionError)
 from .grid import CellSet, disk_cells, distance_field
@@ -246,15 +246,15 @@ def _walk_down(start: tuple[int, int],
     return path
 
 
-def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
-                  exhaustion: Exhaustion | None) -> EscapePlan:
+def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel) -> EscapePlan:
     """Join every disk center to alpha by a staged shortest cell path.
 
-    A center in annulus n is routed inside its component of the region minus
-    (F and the level below n), hopping stage by stage into alpha-reaching
-    components of deeper complements before the final run to an
-    alpha-adjacent cell.  Paths avoid F throughout; neighbor preference is
-    east, north, west, south.
+    A center in annulus n of the region's 3-level exhaustion, the one whose
+    annuli ``disk_cover`` walked, is routed inside its component of the
+    region minus (F and the level below n), hopping stage by stage into
+    alpha-reaching components of deeper complements before the final run to
+    an alpha-adjacent cell.  Paths avoid F throughout; neighbor preference
+    is east, north, west, south.
 
     Routing grows one 4-connected BFS per (stage, target kind), shared by
     the disks and run layer by layer only until each walk's start has its
@@ -266,10 +266,11 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
     region)``, read once per call, so a check run on the region has labeled it.
     """
     grid = region.grid
-    if cover is None or not cover.disks:
+    if not cover.disks:
         return EscapePlan([], CellSet.empty(grid))
 
-    carriers = [F] + [F | K for K in exhaustion.levels]     # F | K_s, K_0 empty
+    levels = build_exhaustion(region, 3).levels
+    carriers = [F] + [F | K for K in levels]                # F | K_s, K_0 empty
     hs_at = functools.cache(lambda s: holes(carriers[s], region))
 
     def status(s, i, j):
@@ -285,7 +286,7 @@ def escape_curves(cover: DiskCover, F: CellSet, region: RegionModel,
             hs_at(target).reach_mask(REACHES_ALPHA)
         return _Wave(hs_at(s).labeling.labels >= 0, bits)
 
-    top = len(exhaustion.levels)
+    top = len(levels)
     curves = []
     union = np.zeros_like(F.bits)
     for disk in cover.disks:
@@ -340,13 +341,10 @@ def build_v(F: CellSet, U: CellSet, region: RegionModel) -> NeighborhoodResult:
     region builds once and shares: a ``check_arakelian`` run on
     ``build_exhaustion(region, 3)`` has already built it.  Without
     obstacles (U = region, as in every lift) there are no disks and it is
-    not built.
+    not built.  ``disk_cover`` checks F inside U inside the region.
     """
-    if not F.issubset(U) or not U.issubset(region.omega):
-        raise PreconditionError("need F inside U inside the region")
     cover = disk_cover(F, U, region)
-    plan = escape_curves(cover, F, region,
-                         build_exhaustion(region, 3) if cover.disks else None)
+    plan = escape_curves(cover, F, region)
     v = (U - cover.covered) - plan.union
     return _checked("neighborhood", v, cover, plan, *_certify(v, F, U, region))
 

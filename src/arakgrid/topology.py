@@ -69,6 +69,10 @@ class RegionModel:
     is forced to continue, such as the cell where a ray leaves the window.
     ``alpha_border`` is derived from both: the declared edges' cells plus
     the flagged cells that lie on the window border.
+    ``fills_window`` and ``frame_gaps`` (each cell centre's distance to every
+    *undeclared* window edge, one centre-axis array per edge) are derived
+    once.  An undeclared edge may be the region's boundary as far as the
+    window knows, so it bounds compactness; declared edges do not.
     """
 
     grid: GridSpec
@@ -79,6 +83,8 @@ class RegionModel:
     alpha_border: np.ndarray = field(init=False)
     alpha_adjacent: np.ndarray = field(init=False)
     ambiguous_contact: np.ndarray = field(init=False)
+    fills_window: bool = field(init=False)
+    frame_gaps: tuple = field(init=False)
     _boundary_distance: np.ndarray | None = field(init=False, default=None)
     _exhaustions: dict = field(init=False, default_factory=dict)  # by thresholds
     _hole_sets: dict = field(init=False, default_factory=dict)    # see ``holes``
@@ -96,21 +102,16 @@ class RegionModel:
         if exits is not None:
             alpha |= exits & border
         self.alpha_border = alpha
-        inner_complement = dilate(~self.omega.bits, 2)
-        self.alpha_adjacent = self.omega.bits & (inner_complement | alpha)
+        self.fills_window = bool(self.omega.bits.all())
+        near = alpha if self.fills_window else dilate(~self.omega.bits, 2) | alpha
+        self.alpha_adjacent = self.omega.bits & near
         self.ambiguous_contact = self.omega.bits & border & ~alpha
-
-    def _frame_gaps(self) -> list[np.ndarray]:
-        """Each cell centre's distance to every *undeclared* window edge, one
-        centre-axis array per edge, shaped to broadcast over the window.  An
-        undeclared edge may be the region's boundary as far as the window
-        knows, so it bounds compactness; edges declared unbounded do not."""
         g = self.grid
         xs, ys = g.center_axes()
         ys = ys[:, None]
         gaps = (g.ymax - ys, ys - g.ymin, g.xmax - xs, xs - g.xmin)   # N S E W
-        return [gap for edge, gap in zip(EDGES, gaps)
-                if edge not in self.declared_edges]
+        self.frame_gaps = tuple(gap for edge, gap in zip(EDGES, gaps)
+                                if edge not in self.declared_edges)
 
     def boundary_distance(self) -> np.ndarray:
         """Per-cell distance to the region's complement, as the window sees
@@ -121,10 +122,9 @@ class RegionModel:
         builds it.  A region that nothing visible bounds (no complement cell,
         every edge declared) reads a zero-byte ``inf``: no transform runs."""
         if self._boundary_distance is None:
-            gaps = self._frame_gaps()
-            if gaps or not self.omega.bits.all():
+            if self.frame_gaps or not self.fills_window:
                 dist = distance_field(CellSet(self.grid, ~self.omega.bits)).values
-                for gap in gaps:
+                for gap in self.frame_gaps:
                     np.minimum(dist, gap, out=dist)
                 dist.flags.writeable = False
             else:
@@ -140,8 +140,8 @@ class RegionModel:
         the region fills the window): the scan grows with d, not the window."""
         shape = self.omega.bits.shape
         d = min([cap] + [float(np.broadcast_to(g, shape)[j, i])
-                         for g in self._frame_gaps()])
-        if not self.omega.bits.all():
+                         for g in self.frame_gaps])
+        if not self.fills_window:
             m = math.ceil(d / self.grid.delta) + 1
             j0, i0 = max(j - m, 0), max(i - m, 0)
             box = ~self.omega.bits[j0:j + m + 1, i0:i + m + 1]
@@ -169,9 +169,9 @@ class RegionModel:
                                key=lambda d2: math.sqrt(d2) * self.grid.delta >= r)
         # a NaN r keeps no cell, as ``field >= r`` does
         out = self.omega.bits.copy() if r <= math.inf else np.zeros_like(self.omega.bits)
-        for gap in self._frame_gaps():
+        for gap in self.frame_gaps:
             out &= gap >= r
-        if t and not self.omega.bits.all():
+        if t and not self.fills_window:
             out &= ~dilate(~self.omega.bits, t)
         return out
 
@@ -365,7 +365,7 @@ def sphere_complement_connected(G: CellSet, region: RegionModel) -> bool:
             "sphere-complement test requires a region declared simply connected")
     if not G.issubset(region.omega):
         raise PreconditionError("G must lie inside the region")
-    if region.omega.bits.all():
+    if region.fills_window:
         return holes(G, region).count == 0
     lab = label_components(CellSet(region.grid, ~G.bits))
     edges = np.concatenate([lab.labels[0], lab.labels[-1],

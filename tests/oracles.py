@@ -162,6 +162,16 @@ def interior_reference(region, r: float) -> np.ndarray:
     return omega & (best >= r)
 
 
+def frame_gaps_reference(region) -> list[np.ndarray]:
+    """The undeclared edges' centre-axis gaps, N, S, E, W, built as every
+    distance read once rebuilt them; the twin of ``RegionModel.frame_gaps``."""
+    g = region.grid
+    xs, ys = g.center_axes()
+    ys = ys[:, None]
+    gaps = {"N": g.ymax - ys, "S": ys - g.ymin, "E": g.xmax - xs, "W": xs - g.xmin}
+    return [gap for edge, gap in gaps.items() if edge not in region.declared_edges]
+
+
 def disk_cover_reference(F, U, region):
     """The disk cover the old way: every cell's radius from a full
     pairwise-minimum distance field (``brute_distances``), the next centre

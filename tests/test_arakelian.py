@@ -17,8 +17,8 @@ from arakgrid.arakelian import (EVIDENCE_DIVERGENT, INCONCLUSIVE, REFUTED,
 from arakgrid.scene import parse_scene
 from arakgrid.topology import custom_region
 
-from oracles import (center_abs_reference, naive_alpha_neighborhood,
-                     naive_dilate, naive_holes)
+from oracles import (center_abs_reference, frame_gaps_reference,
+                     naive_alpha_neighborhood, naive_dilate, naive_holes)
 
 rng = np.random.default_rng(424242)
 
@@ -33,7 +33,7 @@ def _exhaustion_regions(draw):
     """Custom regions on a 16 x 16 window of unit cells, with random declared
     edges and exits on the window border: the whole window, a rectangle, a
     disk, a punctured disk (whose levels have two runs in a row) or random
-    cells."""
+    cells.  Each region's derived facts match their per-call twins."""
     g = make_grid(0, 0, 16, 16, 1)
     X, Y = g.center_mesh()
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -55,8 +55,13 @@ def _exhaustion_regions(draw):
     omega[8, 8] = True                      # never empty
     edges = draw(st.sets(st.sampled_from("NSEW")))
     exits = gen.random((16, 16)) < draw(st.sampled_from([0.0, 0.2]))
-    return custom_region(g, CellSet(g, omega), unbounded_edges=tuple(edges),
-                         extra_unbounded=exits)
+    region = custom_region(g, CellSet(g, omega), unbounded_edges=tuple(edges),
+                           extra_unbounded=exits)
+    assert region.fills_window == omega.all()
+    want = frame_gaps_reference(region)
+    assert len(region.frame_gaps) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(region.frame_gaps, want))
+    return region
 
 
 class TestBuildExhaustion:

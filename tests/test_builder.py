@@ -70,6 +70,19 @@ class TestDiskCover:
         with pytest.raises(PreconditionError):
             disk_cover(F, region.omega - F, region)
 
+    @pytest.mark.parametrize("build", [build_v, disk_cover])
+    @pytest.mark.parametrize("case", ["F-outside-U", "U-outside-region"])
+    def test_f_inside_u_inside_region_contract(self, build, case):
+        # build_v leaves this check to disk_cover: one guard, one message
+        g = make_grid(-1.5, -1.5, 1.5, 1.5, 1 / 16)
+        region = open_disk_region(g, 0, 0, 1)
+        F = _points(g, [(0, 0)])
+        U = region.omega - F if case == "F-outside-U" else \
+            region.omega | _points(g, [(1.4, 1.4)])
+        with pytest.raises(PreconditionError,
+                           match="need F inside U inside the region"):
+            build(F, U, region)
+
     def test_annulus_accounting(self):
         g, region = _plane(1 / 16)
         F = rasterize_closed([Primitive.segment((0, 0), (0.5, 0))], g)
@@ -144,19 +157,21 @@ class TestDiskCoverMatchesReference:
         _assert_cover_matches_reference(CellSet(g, f_bits), CellSet(g, o_bits),
                                         region)
 
-    @pytest.mark.parametrize("kind, inset, f_cells, o_cells", [
-        ("disk", 1, [], [(3, 10), (10, 10), (16, 10)]),
-        ("plane", 1, [], [(0, 0), (19, 19), (7, 12)]),
-        ("plane", 1, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (0, 19)]),
-        ("rect", 0, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (19, 19)]),
-        ("rect", 0, [(0, j) for j in range(20)], [(1, 4), (2, 9), (1, 19)]),
-        ("rect", 2, [(9, 9), (10, 9)], [(8, 8), (11, 10), (9, 10), (2, 2)]),
-        ("disk", 1, [(10, 10)], [(9, 9), (11, 11), (10, 12), (4, 10)]),
+    @pytest.mark.parametrize("kind, inset, f_cells, o_cells, delta", [
+        ("disk", 1, [], [(3, 10), (10, 10), (16, 10)], 1 / 16),
+        ("plane", 1, [], [(0, 0), (19, 19), (7, 12)], 1 / 16),
+        ("plane", 1, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (0, 19)], 1 / 16),
+        ("rect", 0, [(i, 0) for i in range(20)], [(5, 1), (12, 2), (19, 19)], 1 / 16),
+        ("rect", 0, [(0, j) for j in range(20)], [(1, 4), (2, 9), (1, 19)], 1 / 16),
+        ("rect", 2, [(9, 9), (10, 9)], [(8, 8), (11, 10), (9, 10), (2, 2)], 1 / 16),
+        ("disk", 1, [(10, 10)], [(9, 9), (11, 11), (10, 12), (4, 10)], 1 / 16),
+        # sqrt(81) * 0.1 / 2 and sqrt(81 * 0.1 ** 2) / 2 differ in the last bit
+        ("plane", 1, [(0, 0)], [(9, 0)], 0.1),
     ], ids=["empty-F-disk", "empty-F-plane", "bottom-row-plane",
             "bottom-row-rect", "left-column-rect", "adjacent-rect",
-            "adjacent-disk"])
-    def test_edge_cases(self, kind, inset, f_cells, o_cells):
-        region = _cover_region(kind, 20, inset)
+            "adjacent-disk", "non-dyadic-radius"])
+    def test_edge_cases(self, kind, inset, f_cells, o_cells, delta):
+        region = _cover_region(kind, 20, inset, delta)
         g = region.grid
         F = CellSet.from_cells(g, f_cells) & region.omega
         obstacles = CellSet.from_cells(g, o_cells) & region.omega
@@ -192,18 +207,16 @@ class TestDiskCoverMatchesReference:
 class TestEscapeCurves:
     def test_empty_cover_empty_plan(self):
         g, region = _plane()
-        exh = build_exhaustion(region, 3)
         F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
-        plan = escape_curves(disk_cover(F, region.omega, region), F, region, exh)
+        plan = escape_curves(disk_cover(F, region.omega, region), F, region)
         assert plan.curves == [] and plan.union.is_empty()
 
     def test_single_disk_escapes_past_vertical_wall(self):
         g, region = _plane(1 / 32)
         F = rasterize_closed([Primitive.segment((0, -1.5), (0, 1.5))], g)
         obstacle = _points(g, [(-1, 0)])
-        exh = build_exhaustion(region, 3)
         cover = disk_cover(F, region.omega - obstacle, region)
-        plan = escape_curves(cover, F, region, exh)
+        plan = escape_curves(cover, F, region)
         assert len(plan.curves) == 1
         path = plan.curves[0].path
         assert bfs_path_ok(path, F.bits, region.alpha_adjacent)
@@ -228,9 +241,8 @@ class TestEscapeCurves:
                 if df[j, i] > 3 * g.delta:
                     pts.append(tuple(p))
             obstacles = _points(g, pts)
-            exh = build_exhaustion(region, 3)
             cover = disk_cover(F, region.omega - obstacles, region)
-            plan = escape_curves(cover, F, region, exh)
+            plan = escape_curves(cover, F, region)
             assert len(plan.curves) == len(cover.disks)
             for c in plan.curves:
                 assert bfs_path_ok(c.path, F.bits, region.alpha_adjacent)
@@ -240,18 +252,16 @@ class TestEscapeCurves:
         ring = Primitive.polyline([(-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1)])
         F = rasterize_closed([ring], g)
         obstacle = _points(g, [(0, 0)])
-        exh = build_exhaustion(region, 3)
         cover = disk_cover(F, region.omega - obstacle, region)
         with pytest.raises(BuildRefusalError):
-            escape_curves(cover, F, region, exh)
+            escape_curves(cover, F, region)
 
     def test_stage_segments_stay_in_recorded_components(self):
         g, region = _plane(1 / 32)
         F = rasterize_closed([Primitive.segment((0, 0), (1, 0))], g)
         obstacles = _points(g, [(0, 1), (0, -1)])
-        exh = build_exhaustion(region, 3)
         cover = disk_cover(F, region.omega - obstacles, region)
-        plan = escape_curves(cover, F, region, exh)
+        plan = escape_curves(cover, F, region)
         for curve in plan.curves:
             full = curve.path
             assert full[0] == curve.center
@@ -502,7 +512,7 @@ class TestEscapeRoutesMatchReference:
         exh = build_exhaustion(region, 3)
         cover = disk_cover(F, U, region)
         assert cover.disks
-        plan = escape_curves(cover, F, region, exh)
+        plan = escape_curves(cover, F, region)
         got = [(c.center, c.path,
                 [(st_.level, st_.component, st_.path) for st_ in c.stages])
                for c in plan.curves]

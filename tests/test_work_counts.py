@@ -1,7 +1,8 @@
-"""Work counts per CLI command: component labelings, region models,
-exhaustions, sphere-complement tests, boundary distance fields, exact
-distance (feature) transforms, ``np.hypot`` evaluations, curve fixture expansions, escape routing's BFS layers and the
-log lift's scalar ``math.log`` / ``math.atan2`` calls.
+"""Work counts per CLI command: component labelings, region models and
+their dilations, exhaustions, sphere-complement tests, boundary distance
+fields, exact distance (feature) transforms, ``np.hypot`` evaluations, curve
+fixture expansions, escape routing's BFS layers and the log lift's scalar
+``math.log`` / ``math.atan2`` calls.
 
 Each domain is labeled once and each fact is derived once; a change that
 brings back a recompute fails one of these counts.
@@ -11,6 +12,7 @@ import contextlib
 import io
 import math
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +46,13 @@ def install_counters(monkeypatch) -> Counter:
                         counting("labelings", topology.ndimage.label))
     monkeypatch.setattr(topology.RegionModel, "__post_init__",
                         counting("regions", topology.RegionModel.__post_init__))
+    dilate = topology.dilate
+
+    def counting_dilate(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "__post_init__":
+            counts["region_dilations"] += 1
+        return dilate(*args, **kwargs)
+    monkeypatch.setattr(topology, "dilate", counting_dilate)
     exh = counting("exhaustions", arakelian.build_exhaustion)
     monkeypatch.setattr(arakelian, "build_exhaustion", exh)
     monkeypatch.setattr(builder, "build_exhaustion", exh)
@@ -554,3 +563,30 @@ class TestOneRegionPerGrid:
         code, n = count_work(monkeypatch, [argv[0], scene(argv[1])])
         assert code in (0, 1)
         assert n["regions"] == 1
+
+
+class TestRegionDilations:
+    """A region dilates its complement once, for its alpha-adjacency, and
+    only when the complement has a cell in the window: a region that fills
+    the window takes its alpha-adjacent cells from alpha alone."""
+
+    @pytest.mark.parametrize("make, dilations", [
+        (plane_region, 0),
+        (lambda g: topology.custom_region(g, grid.CellSet.full(g)), 0),
+        (lambda g: open_disk_region(g, 0, 0, 1), 1),
+    ], ids=["plane", "full-custom", "disk"])
+    def test_each_region(self, monkeypatch, make, dilations):
+        n = install_counters(monkeypatch)
+        make(make_grid(-1.25, -1.25, 1.25, 1.25, 1 / 32))
+        assert n["region_dilations"] == dilations
+
+    @pytest.mark.parametrize("argv, dilations", [
+        (["check", "segment.scene"], 0),
+        (["build-v", "segment.scene"], 0),
+        (["check", "intro_staircase.scene", "--windows", "8,16,32"], 0),
+        (["build-v", "disk_obstacles.scene"], 1),
+    ], ids=["check", "build-v", "check-windows", "build-v-bounded"])
+    def test_commands(self, monkeypatch, argv, dilations):
+        code, n = count_work(monkeypatch, [argv[0], scene(argv[1]), *argv[2:]])
+        assert code in (0, 2)
+        assert n["region_dilations"] == dilations
