@@ -45,24 +45,25 @@ class SampledFunction:
         return float(np.abs(self.values[self.carrier.bits]).min())
 
 
-def tietze_extend(f: SampledFunction, region: RegionModel) -> SampledFunction:
-    """Nearest-carrier-cell extension of f to the whole region.
-
-    Each cell takes the value of its center-nearest carrier cell, read off one
-    EDT feature transform (Maurer, Qi & Raghavan, IEEE TPAMI 2003); ties go
-    to the lexicographically smallest (i, j) carrier cell.  That is scipy's
-    choice, which it does not document: ``TestTietzeOracle`` pins it.  The
-    extension agrees with f on the carrier exactly and its modulus never drops
-    below the carrier's minimum, so its zero set is empty whenever f has none.
-    """
-    carrier = f.carrier
+def _sample_ids(carrier: CellSet, region: RegionModel) -> np.ndarray:
+    """Each cell's nearest carrier cell, read off one EDT feature transform
+    (Maurer, Qi & Raghavan, IEEE TPAMI 2003), as the int32 index of its
+    sample in ``f.values[carrier.bits]``.  Ties go to the lex-smallest
+    (i, j), scipy's undocumented rule that ``TestTietzeOracle`` pins."""
     if carrier.is_empty():
         raise PreconditionError("cannot extend from an empty carrier")
     if not carrier.issubset(region.omega):
         raise PreconditionError("carrier must lie inside the region")
-    rows, cols = nearest_source_indices(carrier)
-    return SampledFunction(region.omega,
-                           np.where(region.omega.bits, f.values[rows, cols], 0))
+    rank = np.cumsum(carrier.bits, dtype=np.int32).reshape(carrier.bits.shape)
+    return rank[tuple(nearest_source_indices(carrier))] - 1
+
+
+def tietze_extend(f: SampledFunction, region: RegionModel) -> SampledFunction:
+    """Nearest-carrier-cell extension of f to the region, the samples that
+    ``_sample_ids`` names: exact on the carrier, and its modulus never drops
+    below the carrier's minimum, so it has no zero where f has none."""
+    ext = f.values[f.carrier.bits][_sample_ids(f.carrier, region)]
+    return SampledFunction(region.omega, np.where(region.omega.bits, ext, 0))
 
 
 @dataclass(eq=False)
@@ -116,56 +117,50 @@ def _bfs_tree(domain: np.ndarray, seeds: np.ndarray):
     return cells, parents, bounds
 
 
-def _unwrap_on(v: CellSet, ext: SampledFunction, root_cell=None) -> SampledFunction:
-    """Spanning-tree phase unwrap of log(ext) over V's 4-connected graph.
+def _unwrap_on(v: CellSet, samples: np.ndarray, ids: np.ndarray,
+               root_cell=None) -> SampledFunction:
+    """Spanning-tree phase unwrap of log(samples[ids]) over V's 4-connected
+    graph (``ids``: an int32 window of sample indices, read on V only).
 
-    Roots are the lexicographically smallest cell of each component (or the
-    given root for its component), carrying the principal branch; every tree
-    edge adds the principal argument increment, which must stay below pi in
-    magnitude or the grid is declared too coarse.
-
-    The tree is one ``_bfs_tree`` BFS from all roots.  The scalar math runs
-    once over the whole tree: once per distinct sample (by bit pattern), root
-    and cross-sample edge, and the pi guard checks every increment before any
-    is added.  Only the sums run layer by layer, each cell's imaginary part
-    its parent's plus the increment, bit for bit as cell by cell.  Phases are
-    ``math.atan2``, which unlike ``cmath.phase`` never raises on underflow.
+    Each component's root (its lex-smallest cell, or the given root) takes the
+    principal branch; every tree edge adds the principal argument increment,
+    which must stay below pi or the grid is declared too coarse.  The tree is
+    one ``_bfs_tree`` BFS from all roots.  The scalar math runs once per sample
+    (an edge inside one id takes the phase of z / z), root and distinct (id,
+    parent's id) pair of the tree's edges, and the pi guard checks every
+    increment before any is added.  Only the sums run layer by layer, each
+    cell's imaginary part its parent's plus the increment, bit for bit as cell
+    by cell.  Phases are ``math.atan2``, which unlike ``cmath.phase`` never
+    raises on underflow.
     """
     lab = label_components(v)
-    roots = [CellSet(v.grid, lab.labels == k).min_cell() for k in range(lab.n)]
+    roots = lab.first_cells()
     if root_cell is not None and v.bits[root_cell[1], root_cell[0]]:
         roots[lab.labels[root_cell[1], root_cell[0]]] = root_cell
     seeds = CellSet.from_cells(v.grid, roots).bits
     del lab
 
-    w = ext.values.ravel()
-    # V's cells sorted by sample bits (np.unique would merge -1+0j and -1-0j)
-    in_v = np.flatnonzero(v.bits)
-    in_v = in_v[np.lexsort(w[in_v].view(np.int64).reshape(-1, 2).T)]
-    key = w[in_v].view(np.int64).reshape(-1, 2)
-    new = np.ones(in_v.size, dtype=bool)
-    new[1:] = (key[1:, 0] != key[:-1, 0]) | (key[1:, 1] != key[:-1, 1])
-    ids = np.zeros(w.size, dtype=np.int32)
-    ids[in_v] = np.cumsum(new, dtype=np.int32) - 1
-    distinct, many = w[in_v[new]].tolist(), (np.bincount(ids[in_v]) > 1).tolist()
-    del in_v, key, new
-    logs = np.array([math.log(abs(z)) for z in distinct])
-    same = np.array([math.atan2(q.imag, q.real) if m else 0.0
-                     for q, m in zip((z / z for z in distinct), many)])
-
     cells, parents, bounds = _bfs_tree(v.bits, seeds)
+    cells, parents = cells.astype(np.intp), parents.astype(np.intp)
     r = len(roots)                          # the roots come first
-    vals = np.zeros(w.size, dtype=np.complex128)
+    ids = ids.ravel()
     at = ids[cells]
+    many = (np.bincount(at, minlength=samples.size) > 1).tolist()
+    logs = np.array([math.log(abs(z)) for z in samples.tolist()])
+    same = np.array([math.atan2(q.imag, q.real) if m else 0.0
+                     for q, m in zip((z / z for z in samples.tolist()), many)])
+    vals = np.zeros(ids.size, dtype=np.complex128)
     vals.real[cells] = logs[at]
     # per tree cell: a root's principal phase, else its tree edge's increment
     theta = same[at]
-    theta[:r] = [math.atan2(z.imag, z.real) for z in w[cells[:r]].tolist()]
+    theta[:r] = [math.atan2(z.imag, z.real) for z in samples[at[:r]].tolist()]
     cross = r + np.flatnonzero(at[r:] != ids[parents[r:]])
-    del at, ids
-    quots = (a / b for a, b in zip(w[cells[cross]].tolist(),
-                                   w[parents[cross]].tolist()))
-    theta[cross] = [math.atan2(q.imag, q.real) for q in quots]
+    # cross edges keyed on (id, parent's id): one quotient per key
+    pairs, edge = np.unique(at[cross] * np.int64(samples.size)
+                            + ids[parents[cross]], return_inverse=True)
+    num, den = np.divmod(pairs, samples.size)
+    quots = (a / b for a, b in zip(samples[num].tolist(), samples[den].tolist()))
+    theta[cross] = np.array([math.atan2(q.imag, q.real) for q in quots])[edge]
     if (np.abs(theta[r:]) >= math.pi * (1 - 1e-12)).any():
         raise ResolutionError(
             "phase jump of at least pi along a tree edge; "
@@ -184,7 +179,8 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
     Requires a simply connected scene and |f| >= eps_zero > 0 on F.  The
     carrier is extended by nearest values, which copy carrier values, so the
     extension's modulus stays >= eps_zero and U is the whole region.  V comes
-    from the neighborhood builder, and the logarithm is unwrapped over V.
+    from the neighborhood builder, and the logarithm is unwrapped over V on
+    the carrier-sample ids; the extension itself is never built.
     The returned g satisfies max |exp(g) - f| <= tol on F and all adjacent
     imaginary jumps on F stay below pi; violations raise instead of returning.
     """
@@ -211,21 +207,17 @@ def log_lift(F: CellSet, f: SampledFunction, region: RegionModel,
         raise PreconditionError(
             f"|f| drops below eps_zero={eps_zero:g} on the carrier")
 
-    ext = tietze_extend(f, region)
+    ids = _sample_ids(F, region)
     nbhd = build_v(F, region.omega, region)
-    g_tilde = _unwrap_on(nbhd.v, ext, root_cell=root_cell)
+    g_tilde = _unwrap_on(nbhd.v, f.values[F.bits], ids, root_cell=root_cell)
     g = SampledFunction(F, np.where(F.bits, g_tilde.values, 0))
 
     resid = np.abs(np.exp(g.values[F.bits]) - f.values[F.bits])
     residual_max = float(resid.max())
-    jump = 0.0
-    im = g.values.imag
-    right = F.bits[:, :-1] & F.bits[:, 1:]
-    if right.any():
-        jump = max(jump, float(np.abs(im[:, :-1] - im[:, 1:])[right].max()))
-    up = F.bits[:-1, :] & F.bits[1:, :]
-    if up.any():
-        jump = max(jump, float(np.abs(im[:-1, :] - im[1:, :])[up].max()))
+    im, b = g.values.imag, F.bits                  # east, then north pairs
+    jump = max(float(np.abs(d)[pair].max(initial=0.0)) for d, pair in (
+        (im[:, :-1] - im[:, 1:], b[:, :-1] & b[:, 1:]),
+        (im[:-1] - im[1:], b[:-1] & b[1:])))
 
     if not (jump < math.pi):
         raise ResolutionError(

@@ -228,6 +228,15 @@ class ComponentLabeling:
     labels: np.ndarray            # int32; -1 outside the domain
     n: int
 
+    def first_cells(self) -> list[tuple[int, int]]:
+        """Each label's lex-smallest cell (i, j), at its first run of the
+        labels read column-first (twin: per-label ``CellSet.min_cell``)."""
+        head = np.ones(self.labels.shape[::-1], dtype=bool)     # run starts
+        head[:, 1:] = (self.labels[1:] != self.labels[:-1]).T
+        i, j = np.divmod(np.flatnonzero(head), self.labels.shape[0])
+        k, first = np.unique(self.labels[j, i], return_index=True)
+        return list(zip(i[first[k >= 0]].tolist(), j[first[k >= 0]].tolist()))
+
 
 def label_components(domain: CellSet) -> ComponentLabeling:
     """Label the domain's 4-connected components."""
@@ -277,9 +286,8 @@ class HoleSet:
 
     def witness_cells(self) -> list[tuple[int, int]]:
         """One deterministic representative per hole (lex-smallest (i, j))."""
-        grid = self.union.grid
-        return [CellSet(grid, self.labeling.labels == lbl).min_cell()
-                for lbl in self.hole_labels]
+        cells = self.labeling.first_cells()
+        return [cells[lbl] for lbl in self.hole_labels]
 
 
 def holes(F: CellSet, region: RegionModel) -> HoleSet:

@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 B = "tests/test_builder.py::"
+L = "tests/test_loglift.py::"
 
 # (file under src/arakgrid, exact old text, new text, tests expected to fail)
 MUTANTS = [
@@ -59,6 +60,36 @@ MUTANTS = [
      "levels = build_exhaustion(region, 3).levels",
      "levels = build_exhaustion(region, 2).levels",
      [B + "TestEscapeRoutesMatchReference::test_paths_unchanged"]),
+    # a disk's cell box at half its radius (the disk cover's reference draws
+    # its disks through this box too, so the sampling oracle kills it)
+    ("grid.py",
+     "cx - r - eps, cy - r - eps, cx + r + eps, cy + r + eps",
+     "cx - r / 2 - eps, cy - r / 2 - eps, cx + r / 2 + eps, cy + r / 2 + eps",
+     ["tests/test_grid.py::TestRasterize::test_circle_matches_sampling_oracle"]),
+    # an edge inside one sample id adds 0.0, not the phase of z / z
+    ("loglift.py",
+     "math.atan2(q.imag, q.real) if m else 0.0",
+     "0.0 if m else 0.0",
+     [L + "TestUnwrapOracle::test_matches_oracle_on_repeated_samples"]),
+    # a tree edge compares its cell's id with itself, not with its parent's
+    ("loglift.py",
+     "at[r:] != ids[parents[r:]]",
+     "at[r:] != ids[cells[r:]]",
+     [L + "TestUnwrapOracle::test_matches_oracle_on_lifted_neighborhood"]),
+    # a cross edge's quotient key forgets its parent's id
+    ("loglift.py",
+     "+ ids[parents[cross]], return_inverse=True)",
+     ", return_inverse=True)",
+     [L + "TestUnwrapOracle::test_matches_oracle_on_lifted_neighborhood"]),
+    # each label's first cell in row-major order, not the lex-smallest (i, j)
+    ("topology.py",
+     "head = np.ones(self.labels.shape[::-1], dtype=bool)     # run starts\n"
+     "        head[:, 1:] = (self.labels[1:] != self.labels[:-1]).T\n"
+     "        i, j = np.divmod(np.flatnonzero(head), self.labels.shape[0])",
+     "head = np.ones(self.labels.shape, dtype=bool)\n"
+     "        head[1:] = self.labels[1:] != self.labels[:-1]\n"
+     "        j, i = np.divmod(np.flatnonzero(head), self.labels.shape[1])",
+     ["tests/test_topology.py::TestFirstCells"]),
 ]
 
 

@@ -12,7 +12,7 @@ from arakgrid import (CellSet, NotSimplyConnectedError, PreconditionError,
                       Primitive, ResolutionError, SampledFunction, log_lift,
                       make_grid, open_disk_region, plane_region,
                       parse_scene, rasterize_closed, tietze_extend)
-from arakgrid.loglift import _bfs_tree, _unwrap_on
+from arakgrid.loglift import _bfs_tree, _sample_ids, _unwrap_on
 
 from oracles import (bfs_tree_reference, bfs_unwrap, carrier_loop_extension,
                      flood_components, nearest_carrier_values)
@@ -308,10 +308,15 @@ def _check_random_mask(shape, data, samples):
         k = data.draw(st.integers(0, len(js) - 1))
         root_cell = (int(iis[k]), int(js[k]))
 
-    g = make_grid(0, 0, ncols, nrows, 1)
-    v = CellSet(g, bits)
-    ext = SampledFunction(CellSet.full(g), ext_vals)
-    got = _unwrap_outcome(lambda: _unwrap_on(v, ext, root_cell).values)
+    # one id per distinct bit pattern, so that edges inside one id and
+    # bitwise twins on different ids are both drawn
+    bits64 = ext_vals.reshape(-1).view(np.int64).reshape(-1, 2)
+    _, first, ids = np.unique(bits64, axis=0, return_index=True,
+                              return_inverse=True)
+    samples = ext_vals.reshape(-1)[first]
+    ids = ids.astype(np.int32).reshape(nrows, ncols)
+    v = CellSet(make_grid(0, 0, ncols, nrows, 1), bits)
+    got = _unwrap_outcome(lambda: _unwrap_on(v, samples, ids, root_cell).values)
     want = _unwrap_outcome(lambda: bfs_unwrap(bits, ext_vals, root_cell))
     assert got == want
 
@@ -339,11 +344,30 @@ class TestUnwrapOracle:
         f = SampledFunction.from_callable(F, lambda z: (z - 0.5) * (z - 2.5j))
         res = log_lift(F, f, region)
         ext = tietze_extend(f, region)
+        ids = _sample_ids(F, region)
         v = res.neighborhood.v
         js, iis = np.nonzero(v.bits)
         for root in (None, (int(iis[-1]), int(js[-1]))):
-            got = _unwrap_on(v, ext, root).values
+            got = _unwrap_on(v, f.values[F.bits], ids, root).values
             assert got.tobytes() == bfs_unwrap(v.bits, ext.values, root).tobytes()
+
+    def test_lift_on_bitwise_twin_carrier(self):
+        # distinct carrier cells with equal bits (different ids, one value)
+        # and bitwise twins (-1+0j and -1-0j, equal as complex numbers):
+        # the lift on carrier-sample ids matches the unwrap of the extension
+        g = make_grid(0, 0, 12, 7, 1)
+        region = plane_region(g)
+        row = [complex(-1, 0.0), complex(-1, 0.0), complex(-1, -0.0),
+               complex(-1, -0.0), complex(0.47, -0.25), complex(0.47, -0.25),
+               complex(0.47, 0.25), complex(-1, 0.0)]
+        F = CellSet.from_cells(g, [(2 + k, 3) for k in range(len(row))])
+        vals = np.zeros((g.nrows, g.ncols), dtype=np.complex128)
+        vals[3, 2:2 + len(row)] = row
+        f = SampledFunction(F, vals)
+        res = log_lift(F, f, region)
+        v = res.neighborhood.v
+        want = bfs_unwrap(v.bits, tietze_extend(f, region).values)
+        assert res.g_tilde.values.tobytes() == want.tobytes()
 
 
 class TestBfsTreeOracle:

@@ -227,6 +227,38 @@ class TestLabelOrder:
         assert len(calls) == len(domains) and max(calls) >= 2
 
 
+class TestFirstCells:
+    """``ComponentLabeling.first_cells`` gives each label's lexicographically
+    smallest cell (i, j), as one ``CellSet.min_cell`` per label does."""
+
+    @staticmethod
+    def _per_label(labels, n):
+        g = make_grid(0, 0, labels.shape[1], labels.shape[0], 1)
+        return [CellSet(g, labels == k).min_cell() for k in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_masks())
+    # the row-major first cell (1, 0) is not the lex-smallest (0, 1)
+    @example(np.array([[False, True], [True, True]]))
+    def test_components_match_min_cell(self, bits):
+        g = make_grid(0, 0, bits.shape[1], bits.shape[0], 1)
+        lab = label_components(CellSet(g, bits))
+        assert lab.first_cells() == self._per_label(lab.labels, lab.n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           st.integers(1, 6), st.data())
+    def test_random_labelings_match_min_cell(self, shape, n, data):
+        # any dense labeling: a label need not be connected, -1 is outside
+        size = shape[0] * shape[1]
+        raw = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=size,
+                                          max_size=size))).reshape(shape)
+        present = np.unique(raw[raw >= 0])
+        labels = np.where(raw >= 0, np.searchsorted(present, raw), -1)
+        lab = topology.ComponentLabeling(labels.astype(np.int32), present.size)
+        assert lab.first_cells() == self._per_label(lab.labels, lab.n)
+
+
 class TestDilate:
     """``topology.dilate(bits, t)`` against ``oracles.offset_disk_reference``
     for every t from 1 (the identity) to past the window's diagonal; t = 2

@@ -20,9 +20,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from arakgrid import (InputError, Primitive, SampledFunction, arakelian,
-                      builder, grid, loglift, make_grid, open_disk_region,
-                      plane_region, rasterize_closed, tietze_extend, topology)
+from arakgrid import (CellSet, InputError, Primitive, SampledFunction,
+                      arakelian, builder, grid, loglift, make_grid,
+                      open_disk_region, plane_region, rasterize_closed,
+                      tietze_extend, topology)
 from arakgrid.cli import run_cli
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -500,35 +501,102 @@ class TestFeatureTransformsPerExtension:
         assert n["edts"] == 1
 
 
+def _count_scalar_math(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(math, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(loglift, "math", SimpleNamespace(
+        **{**vars(math), "log": counting("log"), "atan2": counting("atan2")}))
+    return calls
+
+
 class TestScalarMathPerLift:
     """The unwrap's scalar ``math.log`` and ``math.atan2`` run once per
-    distinct sample of V, once per root and once per tree edge joining two
-    samples; per-cell math would show as counts near V's cell count."""
+    carrier sample, once per root and once per distinct (id, parent's id)
+    pair of the tree edges joining two samples; per-cell or per-edge math
+    would show as counts near V's cell count."""
 
     def test_loglift_command(self, monkeypatch):
-        calls = Counter()
-
-        def counting(name):
-            fn = getattr(math, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(loglift, "math", SimpleNamespace(
-            **{**vars(math), "log": counting("log"), "atan2": counting("atan2")}))
+        calls = _count_scalar_math(monkeypatch)
         v_cells = []
         unwrap = loglift._unwrap_on
         monkeypatch.setattr(loglift, "_unwrap_on", lambda v, *a, **k: (
             v_cells.append(int(v.bits.sum())) or unwrap(v, *a, **k)))
         code, _ = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
         assert code == 0 and v_cells == [10240]
-        # 66 distinct samples, each on several cells: log|z| and the phase
+        # 66 carrier samples, each on several cells: log|z| and the phase
         # of z / z for edges inside one sample each, the phase of z at the
-        # one root and of a / b on 65 cross edges
+        # one root and of a / b on 65 distinct cross-edge pairs
         assert calls == {"log": 66, "atan2": 66 + 1 + 65}
         assert max(calls.values()) < v_cells[0] / 10
+
+    def test_cross_edges_share_quotients(self, monkeypatch):
+        # a 256 x 256 lift whose tree has 10,920 cross edges between the
+        # nearest-carrier regions of 481 samples, on 1,015 distinct pairs
+        g = make_grid(-2, -2, 2, 2, 1 / 64)
+        F = rasterize_closed([Primitive.polyline(
+            [(-1.5, -1.2), (0.3, 1.4), (1.6, -0.4)])], g)
+        f = SampledFunction.from_callable(F, lambda z: (z - 3) * (z + 2.5j))
+        calls = _count_scalar_math(monkeypatch)
+        loglift.log_lift(F, f, plane_region(g))
+        # 479 of the samples lie on more than one cell of V, one root
+        assert calls["log"] == F.count() == 481
+        assert calls["atan2"] == 479 + 1 + 1015
+
+
+class TestLiftSampleIds:
+    """A lift reads each cell's sample id off its one nearest-carrier
+    transform: it sorts no sample and builds no extension field."""
+
+    def test_one_transform_no_sort(self, monkeypatch):
+        counts = Counter()
+
+        def counting(key, fn):
+            return lambda *a, **k: counts.update([key]) or fn(*a, **k)
+        monkeypatch.setattr(loglift, "nearest_source_indices",
+                            counting("ids", loglift.nearest_source_indices))
+        monkeypatch.setattr(loglift, "tietze_extend",
+                            counting("extensions", loglift.tietze_extend))
+        monkeypatch.setattr(np, "lexsort", counting("lexsorts", np.lexsort))
+        code, _ = count_work(monkeypatch, ["loglift", scene("loglift_line.scene")])
+        assert code == 0
+        g = make_grid(-1, -1, 1, 1, 1 / 32)
+        F = rasterize_closed([Primitive.segment((-0.5, 0.1), (0.5, -0.2))], g)
+        f = SampledFunction.from_callable(F, lambda z: z + 2)
+        loglift.log_lift(F, f, plane_region(g))
+        assert counts == {"ids": 2}
+
+
+class TestFirstCellScans:
+    """Each label's first cell comes from one pass over the labeling, not
+    from a full-window compare and ``min_cell`` per label."""
+
+    def test_many_hole_witnesses_and_roots(self, monkeypatch):
+        g = make_grid(0, 0, 128, 128, 1)
+        jj, ii = np.indices((g.nrows, g.ncols))
+        grid_lines = CellSet(g, (ii % 6 == 0) | (jj % 6 == 0))
+        hs = topology.holes(grid_lines, plane_region(g))
+        assert hs.count >= 400
+        calls = []
+        min_cell = grid.CellSet.min_cell
+        monkeypatch.setattr(grid.CellSet, "min_cell",
+                            lambda self: calls.append(1) or min_cell(self))
+        cells = hs.witness_cells()
+        assert calls == []
+        loglift._unwrap_on(CellSet(g, ~grid_lines.bits),
+                           np.ones(1, dtype=np.complex128),
+                           np.zeros((g.nrows, g.ncols), dtype=np.int32))
+        assert calls == []
+        monkeypatch.undo()
+        labels = hs.labeling.labels
+        assert cells == [CellSet(g, labels == k).min_cell() for k in hs.hole_labels]
 
 
 _DISK = "grid -1.25 -1.25 1.25 1.25 0.03125\nomega disk 0 0 1\n"
